@@ -134,67 +134,71 @@ StatusOr<RecallResult> CoarseRecall::Recall(const Dataset& target,
   // Each proxy's raw scores are min-max normalized across the scored set,
   // then averaged (a single proxy degenerates to the paper's Eq. 2). All
   // proxies share one forward pass, so inference is charged once per
-  // scored model. Each representative's forward pass is independent, so
-  // they fan out over the pool into index-addressed slots; normalization
+  // scored model. A wave is scored through one ScoreBatch call — one
+  // stacked forward pass — behind the optional cache and flight group;
+  // with a pool it splits into contiguous slices, each its own stacked
+  // batch writing its own range of the wave's slots, and normalization
   // and averaging reduce the slots serially in model-index order.
   // The fingerprint half of the flight/cache key is shared by every scored
   // model, so it is hashed once per recall, not once per proxy.
   // Raw scores accumulate per wave (one wave everywhere except the
   // adaptive probe); normalization always runs once, over the final set.
-  const uint64_t target_fingerprint =
-      options.flight_group != nullptr ? DatasetFingerprint(target) : 0;
+  const bool keyed =
+      options.flight_group != nullptr || options.score_cache != nullptr;
+  const uint64_t target_fingerprint = keyed ? DatasetFingerprint(target) : 0;
   std::vector<std::vector<double>> raw_per_scorer(scorers.size());
+  auto score_slice = [&](const ProxyScorer& scorer, const size_t* models,
+                         size_t count, double* out) -> Status {
+    // The per-model cancellation checks run up front, so the check count
+    // matches a per-model loop and no partial scoring precedes a trip.
+    for (size_t i = 0; i < count; ++i) {
+      TPS_RETURN_NOT_OK(CheckCancel(cancel, "proxy fan-out"));
+    }
+    auto compute = [&](const std::vector<size_t>& positions) {
+      std::vector<const PretrainedModel*> batch;
+      batch.reserve(positions.size());
+      for (size_t p : positions) batch.push_back(&zoo_->model(models[p]));
+      return scorer.ScoreBatch(batch, target);
+    };
+    std::vector<ProxyCacheKey> keys(keyed ? count : 0);
+    for (size_t i = 0; i < keys.size(); ++i) {
+      keys[i].dataset_fingerprint = target_fingerprint;
+      keys[i].model = zoo_->model(models[i]).name();
+      keys[i].scorer = scorer.name();
+      keys[i].artifact_epoch = options.artifact_epoch;
+    }
+    StatusOr<std::vector<double>> scores = std::vector<double>();
+    if (options.flight_group != nullptr) {
+      scores = options.flight_group->GetOrComputeBatch(
+          options.score_cache, keys,
+          /*poll_cancel=*/
+          [&]() { return CheckCancel(cancel, "proxy flight wait"); },
+          compute);
+    } else if (options.score_cache != nullptr) {
+      scores = options.score_cache->GetOrComputeBatch(keys, compute);
+    } else {
+      std::vector<size_t> all(count);
+      for (size_t i = 0; i < count; ++i) all[i] = i;
+      scores = compute(all);
+    }
+    TPS_RETURN_NOT_OK(scores.status());
+    std::copy(scores->begin(), scores->end(), out);
+    return Status::OK();
+  };
   auto score_wave = [&](const std::vector<size_t>& wave) -> Status {
+    const size_t slices =
+        pool == nullptr
+            ? 1
+            : std::min(wave.size(), static_cast<size_t>(pool->num_threads()));
     for (size_t si = 0; si < scorers.size(); ++si) {
-      const std::unique_ptr<ProxyScorer>& scorer = scorers[si];
       std::vector<double> raw_scores(wave.size(), 0.0);
-      if (pool == nullptr && options.score_cache == nullptr &&
-          options.flight_group == nullptr) {
-        // Serial uncached path: one ScoreBatch call shares the per-target
-        // setup (label extraction, scratch) across every scored model. The
-        // per-model cancellation checks still run — up front, so the check
-        // count matches the per-model loop and no partial scoring precedes
-        // a trip either way.
-        for (size_t i = 0; i < wave.size(); ++i) {
-          TPS_RETURN_NOT_OK(CheckCancel(cancel, "proxy fan-out"));
-        }
-        std::vector<const PretrainedModel*> models;
-        models.reserve(wave.size());
-        for (size_t m : wave) models.push_back(&zoo_->model(m));
-        TPS_ASSIGN_OR_RETURN(raw_scores, scorer->ScoreBatch(models, target));
-      } else {
-        TPS_RETURN_NOT_OK(StatusParallelFor(
-            pool, wave.size(), [&](size_t i) -> Status {
-              TPS_RETURN_NOT_OK(CheckCancel(cancel, "proxy fan-out"));
-              const PretrainedModel& model = zoo_->model(wave[i]);
-              if (options.flight_group != nullptr) {
-                ProxyCacheKey key;
-                key.dataset_fingerprint = target_fingerprint;
-                key.model = model.name();
-                key.scorer = scorer->name();
-                key.artifact_epoch = options.artifact_epoch;
-                TPS_ASSIGN_OR_RETURN(
-                    raw_scores[i],
-                    options.flight_group->GetOrCompute(
-                        options.score_cache, key,
-                        /*poll_cancel=*/
-                        [&]() {
-                          return CheckCancel(cancel, "proxy flight wait");
-                        },
-                        /*compute=*/
-                        [&]() { return scorer->Score(model, target); }));
-              } else if (options.score_cache != nullptr) {
-                TPS_ASSIGN_OR_RETURN(
-                    raw_scores[i],
-                    options.score_cache->GetOrCompute(*scorer, model, target,
-                                                      options.artifact_epoch));
-              } else {
-                TPS_ASSIGN_OR_RETURN(raw_scores[i],
-                                     scorer->Score(model, target));
-              }
-              return Status::OK();
-            }));
-      }
+      TPS_RETURN_NOT_OK(StatusParallelFor(
+          pool, slices, [&](size_t slice) -> Status {
+            const size_t begin = wave.size() * slice / slices;
+            const size_t end = wave.size() * (slice + 1) / slices;
+            return score_slice(*scorers[si], wave.data() + begin,
+                               end - begin, raw_scores.data() + begin);
+          }));
       raw_per_scorer[si].insert(raw_per_scorer[si].end(), raw_scores.begin(),
                                 raw_scores.end());
     }

@@ -1,7 +1,6 @@
 #include "data/registry.h"
 
 #include <algorithm>
-#include <unordered_set>
 
 namespace tps {
 
@@ -150,10 +149,10 @@ StatusOr<DatasetRegistry> DatasetRegistry::CreatePaperInventory() {
 StatusOr<DatasetRegistry> DatasetRegistry::Create(
     const std::vector<DatasetSpec>& specs) {
   DatasetRegistry registry;
-  std::unordered_set<std::string> seen;
   registry.datasets_.reserve(specs.size());
   for (const DatasetSpec& spec : specs) {
-    if (!seen.insert(spec.name).second) {
+    if (!registry.index_.emplace(spec.name, registry.datasets_.size())
+             .second) {
       return Status::AlreadyExists("duplicate dataset name: " + spec.name);
     }
     TPS_ASSIGN_OR_RETURN(Dataset ds, Dataset::Create(spec));
@@ -163,10 +162,11 @@ StatusOr<DatasetRegistry> DatasetRegistry::Create(
 }
 
 StatusOr<const Dataset*> DatasetRegistry::Find(const std::string& name) const {
-  for (const Dataset& ds : datasets_) {
-    if (ds.name() == name) return &ds;
+  auto it = index_.find(name);
+  if (it == index_.end()) {
+    return Status::NotFound("dataset not found: " + name);
   }
-  return Status::NotFound("dataset not found: " + name);
+  return &datasets_[it->second];
 }
 
 std::vector<const Dataset*> DatasetRegistry::Benchmarks(

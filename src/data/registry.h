@@ -2,6 +2,7 @@
 #define TPS_DATA_REGISTRY_H_
 
 #include <string>
+#include <unordered_map>
 #include <vector>
 
 #include "data/dataset.h"
@@ -38,8 +39,8 @@ class DatasetRegistry {
   static StatusOr<DatasetRegistry> Create(
       const std::vector<DatasetSpec>& specs);
 
-  /// Pointer lookup by dataset name; NotFound if absent. The pointer stays
-  /// valid for the registry's lifetime.
+  /// Pointer lookup by dataset name (one hash lookup); NotFound if absent.
+  /// The pointer stays valid for the registry's lifetime.
   StatusOr<const Dataset*> Find(const std::string& name) const;
 
   /// All benchmark datasets of a domain, in registration order.
@@ -55,6 +56,9 @@ class DatasetRegistry {
   DatasetRegistry() = default;
 
   std::vector<Dataset> datasets_;
+  /// Name -> position in datasets_ (positions, not pointers, so copies of
+  /// the registry stay valid).
+  std::unordered_map<std::string, size_t> index_;
 };
 
 }  // namespace tps

@@ -1,6 +1,8 @@
 #include "model/pretrained_model.h"
 
+#include <algorithm>
 #include <cmath>
+#include <cstring>
 
 #include "data/latent.h"
 #include "matrix/vector_ops.h"
@@ -29,6 +31,54 @@ constexpr double kBetaIdiosyncrasy = 0.10;
 // capability * alignment.
 constexpr double kSeparationScale = 7.0;
 constexpr double kSeparationIdiosyncrasy = 0.12;
+
+// Register block of the stacked forward pass: kBlockRows examples x
+// kBlockCols panel columns of logits stay in accumulators for the whole
+// kDims-term reduction — 12 two-lane registers at 3 x 8, which fits the 16
+// of baseline x86-64.
+constexpr size_t kBlockRows = 3;
+constexpr size_t kBlockCols = 8;
+
+// Two doubles in one register. Lane arithmetic is the scalar IEEE multiply
+// and add; nothing here asks for a fused multiply-add.
+typedef double Lanes __attribute__((vector_size(2 * sizeof(double))));
+constexpr size_t kLaneCols = kBlockCols / 2;
+
+// One kRows x kBlockCols block of raw logits:
+// out[r * stride + j] = sum_d features[r][d] * panel[d * stride + j], each
+// sum accumulated from 0.0 in ascending d — vec::Dot's order, term for
+// term, so the block is bit-identical to the per-model loops. The unroll
+// pragmas keep the accumulators in registers at -O2 as well as -O3.
+template <size_t kRows>
+void LogitBlock(const double* const* features, const double* panel,
+                size_t stride, double* out) {
+  Lanes acc[kRows][kLaneCols];
+#pragma GCC unroll 8
+  for (size_t r = 0; r < kRows; ++r) {
+#pragma GCC unroll 8
+    for (size_t v = 0; v < kLaneCols; ++v) acc[r][v] = Lanes{0.0, 0.0};
+  }
+  for (size_t d = 0; d < latent::kDims; ++d) {
+    Lanes p[kLaneCols];
+#pragma GCC unroll 8
+    for (size_t v = 0; v < kLaneCols; ++v) {
+      std::memcpy(&p[v], panel + d * stride + 2 * v, sizeof(Lanes));
+    }
+#pragma GCC unroll 8
+    for (size_t r = 0; r < kRows; ++r) {
+      const Lanes f = {features[r][d], features[r][d]};
+#pragma GCC unroll 8
+      for (size_t v = 0; v < kLaneCols; ++v) acc[r][v] += f * p[v];
+    }
+  }
+#pragma GCC unroll 8
+  for (size_t r = 0; r < kRows; ++r) {
+#pragma GCC unroll 8
+    for (size_t v = 0; v < kLaneCols; ++v) {
+      std::memcpy(out + r * stride + 2 * v, &acc[r][v], sizeof(Lanes));
+    }
+  }
+}
 }  // namespace
 
 StatusOr<PretrainedModel> PretrainedModel::Create(const ModelSpec& spec) {
@@ -145,37 +195,104 @@ PretrainedModel::HeadParams PretrainedModel::ComputeHeadParams(
   return params;
 }
 
-StatusOr<Matrix> PretrainedModel::ExtractFeatures(
-    const Dataset& dataset) const {
-  TPS_RETURN_NOT_OK(CheckDomain(dataset));
-  const HeadParams params = ComputeHeadParams(dataset);
-  const size_t num_labels = source_prototypes_.size();
-
-  // SoA forward pass: the reduction dimension d is the OUTER loop, the Z
-  // independent accumulators the inner one, streaming the dimension-major
-  // prototype rows contiguously. Each logit still accumulates its d terms
-  // in ascending order — exactly vec::Dot's order — so the result is
-  // bit-identical to ExtractFeaturesReference.
-  Matrix logits(dataset.size(), num_labels);
-  double* out = logits.data().data();
-  std::vector<double> acc(num_labels);
-  for (size_t i = 0; i < dataset.size(); ++i) {
-    const Example& ex = dataset.examples()[i];
-    const double* features = ex.features.data();
-    std::fill(acc.begin(), acc.end(), 0.0);
+StatusOr<std::vector<Matrix>> PretrainedModel::ForwardBatch(
+    const std::vector<const PretrainedModel*>& models, const Dataset& dataset,
+    bool softmax) {
+  for (const PretrainedModel* model : models) {
+    TPS_RETURN_NOT_OK(model->CheckDomain(dataset));
+  }
+  // Pack the wave's dimension-major prototypes side by side: model k owns
+  // panel columns [offset[k], offset[k + 1]). The stride is padded to the
+  // register block with zero columns whose logits are never read.
+  const size_t num_models = models.size();
+  std::vector<size_t> offset(num_models + 1, 0);
+  for (size_t k = 0; k < num_models; ++k) {
+    offset[k + 1] = offset[k] + models[k]->source_prototypes_.size();
+  }
+  const size_t stride =
+      (offset.back() + kBlockCols - 1) / kBlockCols * kBlockCols;
+  std::vector<double> panel(latent::kDims * stride, 0.0);
+  for (size_t k = 0; k < num_models; ++k) {
+    const size_t z_count = offset[k + 1] - offset[k];
+    const double* soa = models[k]->proto_soa_.data();
     for (size_t d = 0; d < latent::kDims; ++d) {
-      const double f = features[d];
-      const double* proto_row = proto_soa_.data() + d * num_labels;
-      for (size_t z = 0; z < num_labels; ++z) acc[z] += f * proto_row[z];
-    }
-    const size_t routed =
-        (static_cast<size_t>(ex.label) + params.route_offset) % num_labels;
-    double* row = out + i * num_labels;
-    for (size_t z = 0; z < num_labels; ++z) {
-      row[z] = params.beta * acc[z] + (z == routed ? params.separation : 0.0);
+      std::copy(soa + d * z_count, soa + (d + 1) * z_count,
+                panel.data() + d * stride + offset[k]);
     }
   }
-  return logits;
+  std::vector<HeadParams> params(num_models);
+  std::vector<Matrix> out;
+  out.reserve(num_models);
+  for (size_t k = 0; k < num_models; ++k) {
+    params[k] = models[k]->ComputeHeadParams(dataset);
+    out.emplace_back(dataset.size(), offset[k + 1] - offset[k]);
+  }
+
+  // Row block by row block: the register-blocked product fills `scratch`
+  // (kBlockRows x stride), then each model's head epilogue — the same
+  // expression as the reference — and the optional in-place softmax write
+  // its rows of the output.
+  const std::vector<Example>& examples = dataset.examples();
+  std::vector<double> scratch(kBlockRows * stride);
+  for (size_t row0 = 0; row0 < examples.size(); row0 += kBlockRows) {
+    const size_t rows = std::min(kBlockRows, examples.size() - row0);
+    const double* features[kBlockRows];
+    for (size_t r = 0; r < rows; ++r) {
+      features[r] = examples[row0 + r].features.data();
+    }
+    for (size_t col = 0; col < stride; col += kBlockCols) {
+      const double* panel_cols = panel.data() + col;
+      double* out_cols = scratch.data() + col;
+      switch (rows) {
+        case 3:
+          LogitBlock<3>(features, panel_cols, stride, out_cols);
+          break;
+        case 2:
+          LogitBlock<2>(features, panel_cols, stride, out_cols);
+          break;
+        default:
+          LogitBlock<1>(features, panel_cols, stride, out_cols);
+          break;
+      }
+    }
+    for (size_t k = 0; k < num_models; ++k) {
+      const size_t z_count = offset[k + 1] - offset[k];
+      const HeadParams& head = params[k];
+      for (size_t r = 0; r < rows; ++r) {
+        const size_t routed =
+            (static_cast<size_t>(examples[row0 + r].label) +
+             head.route_offset) %
+            z_count;
+        const double* raw = scratch.data() + r * stride + offset[k];
+        double* row = out[k].data().data() + (row0 + r) * z_count;
+        for (size_t z = 0; z < z_count; ++z) {
+          row[z] = head.beta * raw[z] + (z == routed ? head.separation : 0.0);
+        }
+        // Same max-subtraction/exp/normalize order as vec::Softmax.
+        if (softmax) vec::SoftmaxInPlace(row, z_count);
+      }
+    }
+  }
+  return out;
+}
+
+StatusOr<std::vector<Matrix>> PretrainedModel::ExtractFeaturesBatch(
+    const std::vector<const PretrainedModel*>& models,
+    const Dataset& dataset) {
+  return ForwardBatch(models, dataset, /*softmax=*/false);
+}
+
+StatusOr<std::vector<Matrix>> PretrainedModel::PredictDistributionsBatch(
+    const std::vector<const PretrainedModel*>& models,
+    const Dataset& dataset) {
+  return ForwardBatch(models, dataset, /*softmax=*/true);
+}
+
+StatusOr<Matrix> PretrainedModel::ExtractFeatures(
+    const Dataset& dataset) const {
+  TPS_ASSIGN_OR_RETURN(std::vector<Matrix> features,
+                       ExtractFeaturesBatch({this}, dataset));
+  return std::move(features[0]);
 }
 
 StatusOr<Matrix> PretrainedModel::ExtractFeaturesReference(
@@ -199,15 +316,9 @@ StatusOr<Matrix> PretrainedModel::ExtractFeaturesReference(
 
 StatusOr<Matrix> PretrainedModel::PredictDistributions(
     const Dataset& dataset) const {
-  TPS_ASSIGN_OR_RETURN(Matrix logits, ExtractFeatures(dataset));
-  // In-place row softmax: same max-subtraction/exp/normalize order as
-  // vec::Softmax, minus the two per-row allocations.
-  double* data = logits.data().data();
-  const size_t cols = logits.cols();
-  for (size_t i = 0; i < logits.rows(); ++i) {
-    vec::SoftmaxInPlace(data + i * cols, cols);
-  }
-  return logits;
+  TPS_ASSIGN_OR_RETURN(std::vector<Matrix> predictions,
+                       PredictDistributionsBatch({this}, dataset));
+  return std::move(predictions[0]);
 }
 
 StatusOr<Matrix> PretrainedModel::PredictDistributionsReference(

@@ -57,11 +57,30 @@ class PretrainedModel {
   /// "features" consumed by feature-based proxies (LogME, kNN).
   /// PredictDistributions is the row-wise softmax of this matrix.
   ///
-  /// This is the SoA batch entry point of the forward pass (the inner loop
-  /// streams dimension-major prototypes). The *Reference variants below
-  /// retain the straightforward AoS loops; both pairs are bit-identical
-  /// and the differential kernel harness pins it.
+  /// A batch of one on the stacked forward pass below. The *Reference
+  /// variants retain the straightforward AoS loops; both pairs are
+  /// bit-identical and the differential kernel harness pins it.
   StatusOr<Matrix> ExtractFeatures(const Dataset& dataset) const;
+
+  /// Stacked forward pass over a wave of models against one dataset:
+  /// result[k] is models[k]->ExtractFeatures(dataset), bit for bit. The
+  /// wave's dimension-major prototypes are packed side by side into one
+  /// kDims x (sum of Z) panel, and a register-blocked kernel multiplies
+  /// the dataset's features against it: one product per wave instead of
+  /// one per model. Every logit still sums its terms in ascending order
+  /// from 0.0, and the per-model head epilogue runs over a scratch buffer
+  /// of a few rows, never an n x (sum of Z) buffer. Fails
+  /// with the first wrong-domain model's error, the same Status the
+  /// one-model call returns. An empty wave yields an empty vector.
+  static StatusOr<std::vector<Matrix>> ExtractFeaturesBatch(
+      const std::vector<const PretrainedModel*>& models,
+      const Dataset& dataset);
+
+  /// The stacked pass with each row softmaxed in place: result[k] is
+  /// models[k]->PredictDistributions(dataset), bit for bit.
+  static StatusOr<std::vector<Matrix>> PredictDistributionsBatch(
+      const std::vector<const PretrainedModel*>& models,
+      const Dataset& dataset);
 
   /// Reference (AoS, per-example vec::Dot) forward pass. Test-only: kept
   /// so the kernel-equivalence suite can diff the SoA path against the
@@ -87,6 +106,12 @@ class PretrainedModel {
 
   Status CheckDomain(const Dataset& dataset) const;
 
+  /// The stacked forward pass behind both *Batch entry points; `softmax`
+  /// turns logits into predictions row by row.
+  static StatusOr<std::vector<Matrix>> ForwardBatch(
+      const std::vector<const PretrainedModel*>& models,
+      const Dataset& dataset, bool softmax);
+
   ModelSpec spec_;
   uint64_t seed_ = 0;
   double capability_ = 0.0;
@@ -94,8 +119,8 @@ class PretrainedModel {
   /// Source-label prototype directions, one per source label (unit norm).
   std::vector<std::vector<double>> source_prototypes_;
   /// The same prototypes transposed to dimension-major SoA layout
-  /// (proto_soa_[d * Z + z] = source_prototypes_[z][d]), so the batch
-  /// forward pass accumulates all Z logits with a contiguous inner loop.
+  /// (proto_soa_[d * Z + z] = source_prototypes_[z][d]): row d is this
+  /// model's slice of the stacked forward pass's panel row d.
   std::vector<double> proto_soa_;
 };
 

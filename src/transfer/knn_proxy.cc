@@ -34,16 +34,11 @@ StatusOr<double> KnnScorer::Score(const PretrainedModel& model,
 StatusOr<std::vector<double>> KnnScorer::ScoreBatch(
     const std::vector<const PretrainedModel*>& models,
     const Dataset& target) const {
-  const std::vector<int> labels = TargetLabels(target);
-  std::vector<double> scores;
-  scores.reserve(models.size());
-  for (const PretrainedModel* model : models) {
-    TPS_ASSIGN_OR_RETURN(Matrix features, model->ExtractFeatures(target));
-    TPS_ASSIGN_OR_RETURN(double score,
-                         KnnLeaveOneOutAccuracy(features, labels, k_, mode_));
-    scores.push_back(score);
-  }
-  return scores;
+  return ScoreStacked(
+      models, target, /*softmax=*/false,
+      [&](const Matrix& features, const std::vector<int>& labels) {
+        return KnnLeaveOneOutAccuracy(features, labels, k_, mode_);
+      });
 }
 
 }  // namespace tps

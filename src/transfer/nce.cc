@@ -41,19 +41,12 @@ StatusOr<double> NceScorer::Score(const PretrainedModel& model,
 StatusOr<std::vector<double>> NceScorer::ScoreBatch(
     const std::vector<const PretrainedModel*>& models,
     const Dataset& target) const {
-  const std::vector<int> labels = TargetLabels(target);
-  std::vector<double> scores;
-  scores.reserve(models.size());
-  for (const PretrainedModel* model : models) {
-    TPS_ASSIGN_OR_RETURN(Matrix predictions,
-                         model->PredictDistributions(target));
-    TPS_ASSIGN_OR_RETURN(
-        double score,
-        NceFromPredictions(predictions, labels, target.spec().num_labels,
-                           mode_));
-    scores.push_back(score);
-  }
-  return scores;
+  return ScoreStacked(
+      models, target, /*softmax=*/true,
+      [&](const Matrix& predictions, const std::vector<int>& labels) {
+        return NceFromPredictions(predictions, labels,
+                                  target.spec().num_labels, mode_);
+      });
 }
 
 }  // namespace tps

@@ -21,6 +21,35 @@ StatusOr<std::vector<double>> ProxyScorer::ScoreBatch(
   return scores;
 }
 
+StatusOr<std::vector<double>> ScoreStacked(
+    const std::vector<const PretrainedModel*>& models, const Dataset& target,
+    bool softmax,
+    const std::function<StatusOr<double>(const Matrix&,
+                                         const std::vector<int>&)>& score) {
+  size_t valid = 0;
+  while (valid < models.size() &&
+         models[valid]->domain() == target.spec().domain) {
+    ++valid;
+  }
+  const std::vector<const PretrainedModel*> prefix(models.begin(),
+                                                   models.begin() + valid);
+  TPS_ASSIGN_OR_RETURN(
+      std::vector<Matrix> outputs,
+      softmax ? PretrainedModel::PredictDistributionsBatch(prefix, target)
+              : PretrainedModel::ExtractFeaturesBatch(prefix, target));
+  const std::vector<int> labels = TargetLabels(target);
+  std::vector<double> scores;
+  scores.reserve(models.size());
+  for (const Matrix& output : outputs) {
+    TPS_ASSIGN_OR_RETURN(double value, score(output, labels));
+    scores.push_back(value);
+  }
+  if (valid < models.size()) {
+    return models[valid]->ExtractFeatures(target).status();
+  }
+  return scores;
+}
+
 StatusOr<std::unique_ptr<ProxyScorer>> MakeProxyScorer(
     const std::string& name, kernels::KernelMode mode) {
   if (name == "leep") {

@@ -1,6 +1,7 @@
 #ifndef TPS_TRANSFER_PROXY_SCORER_H_
 #define TPS_TRANSFER_PROXY_SCORER_H_
 
+#include <functional>
 #include <memory>
 #include <string>
 #include <vector>
@@ -32,15 +33,28 @@ class ProxyScorer {
                                  const Dataset& target) const = 0;
 
   /// Batched entry point: scores every model against the same target,
-  /// sharing per-target setup (label extraction, scratch) across models.
-  /// Result order matches `models`. Bit-identical to calling Score() in a
-  /// loop — the parallel-equivalence suite compares the two paths with ==.
-  /// The base implementation is that loop; the concrete scorers override
-  /// it with the shared-setup version.
+  /// sharing per-target setup (label extraction) and one stacked forward
+  /// pass across models. Result order matches `models`. Bit-identical to
+  /// calling Score() in a loop, errors included — the kernel harness and
+  /// the parallel-equivalence suite compare the two paths with ==. The
+  /// base implementation is that loop; the concrete scorers override it
+  /// with ScoreStacked.
   virtual StatusOr<std::vector<double>> ScoreBatch(
       const std::vector<const PretrainedModel*>& models,
       const Dataset& target) const;
 };
+
+/// The shared body of the concrete scorers' ScoreBatch: one stacked
+/// forward pass over `models` (PretrainedModel::PredictDistributionsBatch
+/// when `softmax`, ExtractFeaturesBatch otherwise), then `score(output,
+/// labels)` per model in order. Fails exactly as the one-model Score loop
+/// would: the stacked pass covers the models before the first wrong-domain
+/// one, and that model's own forward pass supplies the error after them.
+StatusOr<std::vector<double>> ScoreStacked(
+    const std::vector<const PretrainedModel*>& models, const Dataset& target,
+    bool softmax,
+    const std::function<StatusOr<double>(const Matrix&,
+                                         const std::vector<int>&)>& score);
 
 /// Constructs a scorer by name; InvalidArgument for unknown names. `mode`
 /// selects the kernel family every score is computed with (bit-identical

@@ -77,20 +77,33 @@ ProxyScoreCache::ProxyScoreCache(size_t capacity, MetricsRegistry* metrics)
                                          : MetricsRegistry::Default())
                          ->gauge("proxy_cache.entries")) {}
 
-std::optional<double> ProxyScoreCache::Lookup(const ProxyCacheKey& key) {
+std::optional<double> ProxyScoreCache::Find(const ProxyCacheKey& key,
+                                            bool count) {
   {
     std::lock_guard<std::mutex> lock(mu_);
     auto it = index_.find(key);
     if (it != index_.end()) {
       lru_.splice(lru_.begin(), lru_, it->second);  // Refresh recency.
-      hits_.fetch_add(1, std::memory_order_relaxed);
-      hit_counter_.Increment();
+      if (count) {
+        hits_.fetch_add(1, std::memory_order_relaxed);
+        hit_counter_.Increment();
+      }
       return it->second->second;
     }
   }
-  misses_.fetch_add(1, std::memory_order_relaxed);
-  miss_counter_.Increment();
+  if (count) {
+    misses_.fetch_add(1, std::memory_order_relaxed);
+    miss_counter_.Increment();
+  }
   return std::nullopt;
+}
+
+std::optional<double> ProxyScoreCache::Lookup(const ProxyCacheKey& key) {
+  return Find(key, /*count=*/true);
+}
+
+std::optional<double> ProxyScoreCache::Peek(const ProxyCacheKey& key) {
+  return Find(key, /*count=*/false);
 }
 
 void ProxyScoreCache::Insert(const ProxyCacheKey& key, double score) {
@@ -114,6 +127,26 @@ void ProxyScoreCache::Insert(const ProxyCacheKey& key, double score) {
   entries_gauge_.Set(static_cast<double>(lru_.size()));
 }
 
+StatusOr<std::vector<double>> ProxyScoreCache::GetOrComputeBatch(
+    const std::vector<ProxyCacheKey>& keys, const BatchCompute& compute) {
+  std::vector<double> scores(keys.size(), 0.0);
+  std::vector<size_t> misses;
+  for (size_t i = 0; i < keys.size(); ++i) {
+    if (std::optional<double> cached = Lookup(keys[i]); cached.has_value()) {
+      scores[i] = *cached;
+    } else {
+      misses.push_back(i);
+    }
+  }
+  if (misses.empty()) return scores;
+  TPS_ASSIGN_OR_RETURN(std::vector<double> computed, compute(misses));
+  for (size_t j = 0; j < misses.size(); ++j) {
+    scores[misses[j]] = computed[j];
+    Insert(keys[misses[j]], computed[j]);
+  }
+  return scores;
+}
+
 StatusOr<double> ProxyScoreCache::GetOrCompute(const ProxyScorer& scorer,
                                                const PretrainedModel& model,
                                                const Dataset& target,
@@ -123,12 +156,14 @@ StatusOr<double> ProxyScoreCache::GetOrCompute(const ProxyScorer& scorer,
   key.model = model.name();
   key.scorer = scorer.name();
   key.artifact_epoch = artifact_epoch;
-  if (std::optional<double> cached = Lookup(key); cached.has_value()) {
-    return *cached;
-  }
-  TPS_ASSIGN_OR_RETURN(double score, scorer.Score(model, target));
-  Insert(key, score);
-  return score;
+  TPS_ASSIGN_OR_RETURN(
+      std::vector<double> scores,
+      GetOrComputeBatch({key}, [&](const std::vector<size_t>&)
+                                   -> StatusOr<std::vector<double>> {
+        TPS_ASSIGN_OR_RETURN(double score, scorer.Score(model, target));
+        return std::vector<double>{score};
+      }));
+  return scores[0];
 }
 
 void ProxyScoreCache::Clear() {

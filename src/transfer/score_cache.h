@@ -3,6 +3,7 @@
 
 #include <atomic>
 #include <cstdint>
+#include <functional>
 #include <list>
 #include <mutex>
 #include <optional>
@@ -54,6 +55,12 @@ struct ProxyCacheKeyHash {
   size_t operator()(const ProxyCacheKey& key) const;
 };
 
+/// Computes the scores of the keys at `positions` (ascending indices into
+/// the caller's key list) in one batch, in `positions` order — the
+/// compute closure of the batched cache and flight entry points.
+using BatchCompute = std::function<StatusOr<std::vector<double>>(
+    const std::vector<size_t>& positions)>;
+
 /// Thread-safe LRU cache of proxy scores ("Serving" in DESIGN.md).
 ///
 /// Inertness contract: proxy scores are pure functions of (dataset, model,
@@ -85,13 +92,25 @@ class ProxyScoreCache {
   /// Returns the cached score and refreshes recency, or nullopt on miss.
   std::optional<double> Lookup(const ProxyCacheKey& key);
 
+  /// Lookup without the hit/miss accounting (recency still refreshes):
+  /// the flight leader's re-check of a key whose pre-check Lookup already
+  /// counted, so no arrival is counted twice.
+  std::optional<double> Peek(const ProxyCacheKey& key);
+
   /// Inserts (or refreshes) a score, evicting the least-recently-used
   /// entry when at capacity. No-op when capacity is 0.
   void Insert(const ProxyCacheKey& key, double score);
 
-  /// The seam used by coarse recall: cache hit, or compute via
-  /// `scorer.Score(model, target)` and cache the successful result.
-  /// `artifact_epoch` tags the key (see ProxyCacheKey).
+  /// The uncoalesced seam used by coarse recall: every key is looked up,
+  /// the misses are computed in one `compute` call and the successful
+  /// scores inserted. Result order matches `keys`; a failed batch is
+  /// returned as is and caches nothing.
+  StatusOr<std::vector<double>> GetOrComputeBatch(
+      const std::vector<ProxyCacheKey>& keys, const BatchCompute& compute);
+
+  /// A batch of one: cache hit, or compute via `scorer.Score(model,
+  /// target)` and cache the successful result. `artifact_epoch` tags the
+  /// key (see ProxyCacheKey).
   StatusOr<double> GetOrCompute(const ProxyScorer& scorer,
                                 const PretrainedModel& model,
                                 const Dataset& target,
@@ -116,6 +135,9 @@ class ProxyScoreCache {
 
  private:
   using Entry = std::pair<ProxyCacheKey, double>;
+
+  /// Lookup's body; counts the outcome only when `count` is set.
+  std::optional<double> Find(const ProxyCacheKey& key, bool count);
 
   const size_t capacity_;
 

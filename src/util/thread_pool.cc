@@ -169,12 +169,17 @@ void ThreadPool::ParallelFor(size_t n, const std::function<void(size_t)>& fn) {
     Submit([state] { state->Drain(); });
   }
   state->Drain();
+  std::exception_ptr error;
   {
     std::unique_lock<std::mutex> lock(state->mu);
     state->all_indices_done.wait(
         lock, [&state] { return state->completed == state->n; });
+    // Moved out under the lock: a helper that drops the last reference
+    // to `state` after we return then holds no reference to the exception
+    // the caller may still be reading, so it is freed on this thread.
+    error = std::move(state->error);
   }
-  if (state->error != nullptr) std::rethrow_exception(state->error);
+  if (error != nullptr) std::rethrow_exception(error);
 }
 
 int ThreadPool::DefaultThreads() {

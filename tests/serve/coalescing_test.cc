@@ -3,11 +3,14 @@
 // leader hands its flight to a live waiter instead of failing it; and
 // coalescing on vs off is bit-identical (it changes cost, never answers).
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <condition_variable>
 #include <future>
 #include <mutex>
+#include <optional>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -208,6 +211,236 @@ TEST(ProxyFlightGroupTest, WaiterWithExpiredDeadlineLeavesFlightIntact) {
 
   EXPECT_EQ(group.handoffs(), 0u);
   EXPECT_EQ(group.computes(), 1u);
+  EXPECT_EQ(group.InFlight(), 0u);
+}
+
+// --- Batched flights ---------------------------------------------------------
+
+// A batch compute that records the positions it was asked for and answers
+// each with `base + position`.
+BatchCompute Recording(std::vector<std::vector<size_t>>* calls,
+                       double base) {
+  return [calls, base](const std::vector<size_t>& positions)
+             -> StatusOr<std::vector<double>> {
+    calls->push_back(positions);
+    std::vector<double> scores;
+    for (size_t p : positions) scores.push_back(base + static_cast<double>(p));
+    return scores;
+  };
+}
+
+TEST(ProxyFlightGroupTest, FlightRetiringBetweenPrecheckAndJoinCountsOnce) {
+  // The schedule that broke the conservation law on multi-core machines,
+  // forced on one thread: the late arrival's pre-check misses, then —
+  // inside the join hook — another caller leads, computes, inserts and
+  // retires the whole flight. The late arrival then leads a fresh flight
+  // whose cache re-check hits: it must count as a leader only, and must
+  // not compute.
+  MetricsRegistry metrics;
+  ProxyFlightGroup group(&metrics);
+  ProxyScoreCache cache(8, &metrics);
+  const ProxyCacheKey key = Key(21, "model");
+  size_t compute_calls = 0;
+  auto compute = [&]() -> StatusOr<double> {
+    ++compute_calls;
+    return 0.75;
+  };
+  bool armed = true;
+  group.SetJoinHookForTesting([&] {
+    if (!armed) return;
+    armed = false;
+    auto early = group.GetOrCompute(&cache, key, nullptr, compute);
+    EXPECT_TRUE(early.ok());
+    EXPECT_EQ(group.InFlight(), 0u);  // Retired before the late join.
+  });
+  auto late = group.GetOrCompute(&cache, key, nullptr, compute);
+  ASSERT_TRUE(late.ok());
+  EXPECT_EQ(*late, 0.75);
+  EXPECT_FALSE(armed);
+  EXPECT_EQ(compute_calls, 1u);
+  EXPECT_EQ(group.computes(), 1u);
+  EXPECT_EQ(group.leaders(), 2u);
+  EXPECT_EQ(group.waiters(), 0u);
+  EXPECT_EQ(cache.hits(), 0u);
+  EXPECT_EQ(cache.misses(), 2u);
+  EXPECT_EQ(group.leaders() + group.waiters() + cache.hits(), 2u);
+  EXPECT_EQ(group.InFlight(), 0u);
+}
+
+TEST(ProxyFlightGroupTest, BatchMixesCachedInFlightAndNewKeys) {
+  MetricsRegistry metrics;
+  ProxyFlightGroup group(&metrics);
+  ProxyScoreCache cache(8, &metrics);
+  const ProxyCacheKey cached = Key(31, "cached");
+  const ProxyCacheKey elsewhere = Key(31, "elsewhere");
+  const ProxyCacheKey fresh = Key(31, "fresh");
+  cache.Insert(cached, 1.5);
+
+  // Another request leads `elsewhere` and holds it in compute until the
+  // batch below has joined it.
+  std::promise<void> other_in_compute;
+  std::promise<void> batch_joined;
+  std::shared_future<void> batch_joined_future =
+      batch_joined.get_future().share();
+  std::thread other([&] {
+    auto result = group.GetOrCompute(
+        &cache, elsewhere, nullptr, [&]() -> StatusOr<double> {
+          other_in_compute.set_value();
+          batch_joined_future.wait();
+          return 2.5;
+        });
+    EXPECT_TRUE(result.ok());
+  });
+  other_in_compute.get_future().wait();
+
+  std::vector<std::vector<size_t>> calls;
+  std::thread batch([&] {
+    auto scores = group.GetOrComputeBatch(&cache, {cached, elsewhere, fresh},
+                                          nullptr, Recording(&calls, 10.0));
+    ASSERT_TRUE(scores.ok());
+    EXPECT_EQ(*scores, (std::vector<double>{1.5, 2.5, 12.0}));
+  });
+  while (group.waiters() == 0) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  batch_joined.set_value();
+  other.join();
+  batch.join();
+
+  // The batch computed only its new key, in one call, by its position.
+  EXPECT_EQ(calls, (std::vector<std::vector<size_t>>{{2}}));
+  EXPECT_EQ(group.computes(), 2u);  // `elsewhere` once, `fresh` once.
+  EXPECT_EQ(group.leaders(), 2u);
+  EXPECT_EQ(group.waiters(), 1u);
+  EXPECT_EQ(cache.hits(), 1u);
+  EXPECT_EQ(group.leaders() + group.waiters() + cache.hits(), 4u);
+  EXPECT_EQ(cache.Peek(fresh), std::optional<double>(12.0));
+  EXPECT_EQ(group.InFlight(), 0u);
+}
+
+TEST(ProxyFlightGroupTest, SameKeyTwiceInOneBatchComputesOnce) {
+  MetricsRegistry metrics;
+  ProxyFlightGroup group(&metrics);
+  ProxyScoreCache cache(8, &metrics);
+  const ProxyCacheKey a = Key(41, "a");
+  const ProxyCacheKey b = Key(41, "b");
+  std::vector<std::vector<size_t>> calls;
+  auto scores = group.GetOrComputeBatch(&cache, {a, b, a}, nullptr,
+                                        Recording(&calls, 5.0));
+  ASSERT_TRUE(scores.ok());
+  // The repeat shares its first occurrence's flight and answer.
+  EXPECT_EQ(*scores, (std::vector<double>{5.0, 6.0, 5.0}));
+  EXPECT_EQ(calls, (std::vector<std::vector<size_t>>{{0, 1}}));
+  EXPECT_EQ(group.computes(), 2u);
+  EXPECT_EQ(group.leaders(), 2u);
+  EXPECT_EQ(group.waiters(), 1u);
+  EXPECT_EQ(group.leaders() + group.waiters() + cache.hits(), 3u);
+  EXPECT_EQ(cache.size(), 2u);
+  EXPECT_EQ(group.InFlight(), 0u);
+}
+
+TEST(ProxyFlightGroupTest, CancelledBatchLeaderHandsEachKeyToLiveWaiter) {
+  MetricsRegistry metrics;
+  ProxyFlightGroup group(&metrics);
+  ProxyScoreCache cache(8, &metrics);
+  const std::vector<ProxyCacheKey> keys = {Key(51, "x"), Key(51, "y")};
+
+  std::promise<void> leader_in_compute;
+  std::promise<void> waiter_joined;
+  std::shared_future<void> waiter_joined_future =
+      waiter_joined.get_future().share();
+  // Leader: leads both keys, then reports its own cancellation from the
+  // batch compute. Only this caller may see the error.
+  std::thread leader([&] {
+    auto result = group.GetOrComputeBatch(
+        &cache, keys, nullptr,
+        [&](const std::vector<size_t>&) -> StatusOr<std::vector<double>> {
+          leader_in_compute.set_value();
+          waiter_joined_future.wait();
+          return Status::DeadlineExceeded("leader request expired");
+        });
+    EXPECT_FALSE(result.ok());
+    EXPECT_TRUE(result.status().IsDeadlineExceeded());
+  });
+  leader_in_compute.get_future().wait();
+
+  // Waiter: joins both flights mid-compute; after each abdication it is
+  // promoted and computes that key alone with its own closure.
+  std::vector<std::vector<size_t>> calls;
+  std::thread waiter([&] {
+    auto result =
+        group.GetOrComputeBatch(&cache, keys, nullptr, Recording(&calls, 7.0));
+    ASSERT_TRUE(result.ok());
+    EXPECT_EQ(*result, (std::vector<double>{7.0, 8.0}));
+  });
+  while (group.waiters() < 2) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  waiter_joined.set_value();
+  leader.join();
+  waiter.join();
+
+  EXPECT_EQ(calls, (std::vector<std::vector<size_t>>{{0}, {1}}));
+  EXPECT_EQ(group.handoffs(), 2u);
+  EXPECT_EQ(group.computes(), 2u);  // Only the promoted waiter's computes.
+  EXPECT_EQ(group.leaders(), 4u);   // Two original + two promotions.
+  EXPECT_EQ(metrics.counter("proxy_flight.handoffs").value(), 2u);
+  EXPECT_EQ(cache.size(), 2u);
+  EXPECT_EQ(group.InFlight(), 0u);
+}
+
+TEST(ProxyFlightGroupTest, OverlappingConcurrentWavesComputeEachKeyOnce) {
+  MetricsRegistry metrics;
+  ProxyFlightGroup group(&metrics);
+  ProxyScoreCache cache(256, &metrics);
+  constexpr size_t kThreads = 8;
+  constexpr size_t kRounds = 10;
+  constexpr size_t kKeys = 12;
+  constexpr size_t kWave = 6;
+  std::mutex mu;
+  std::vector<size_t> computed_per_key(kRounds * kKeys, 0);
+
+  size_t arrivals = 0;
+  for (size_t round = 0; round < kRounds; ++round) {
+    std::vector<std::thread> threads;
+    for (size_t t = 0; t < kThreads; ++t) {
+      // Thread t's wave: kWave keys starting at 2t, wrapping, in an order
+      // that alternates direction so waves overlap in both orders.
+      std::vector<size_t> ids;
+      for (size_t i = 0; i < kWave; ++i) ids.push_back((2 * t + i) % kKeys);
+      if (t % 2 == 1) std::reverse(ids.begin(), ids.end());
+      arrivals += ids.size();
+      threads.emplace_back([&, round, ids] {
+        std::vector<ProxyCacheKey> keys;
+        for (size_t id : ids) {
+          keys.push_back(Key(1000 + round, "m" + std::to_string(id)));
+        }
+        auto scores = group.GetOrComputeBatch(
+            &cache, keys, nullptr,
+            [&](const std::vector<size_t>& positions)
+                -> StatusOr<std::vector<double>> {
+              std::vector<double> out;
+              std::lock_guard<std::mutex> lock(mu);
+              for (size_t p : positions) {
+                computed_per_key[round * kKeys + ids[p]] += 1;
+                out.push_back(static_cast<double>(round * kKeys + ids[p]));
+              }
+              return out;
+            });
+        ASSERT_TRUE(scores.ok());
+        for (size_t i = 0; i < ids.size(); ++i) {
+          EXPECT_EQ((*scores)[i], static_cast<double>(round * kKeys + ids[i]));
+        }
+      });
+    }
+    for (std::thread& thread : threads) thread.join();
+  }
+  // Exactly once per key, and every arrival counted exactly once.
+  for (size_t count : computed_per_key) EXPECT_EQ(count, 1u);
+  EXPECT_EQ(group.computes(), kRounds * kKeys);
+  EXPECT_EQ(group.handoffs(), 0u);
+  EXPECT_EQ(group.leaders() + group.waiters() + cache.hits(), arrivals);
+  EXPECT_EQ(cache.size(), kRounds * kKeys);
   EXPECT_EQ(group.InFlight(), 0u);
 }
 

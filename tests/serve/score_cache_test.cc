@@ -1,5 +1,8 @@
 #include "transfer/score_cache.h"
 
+#include <optional>
+#include <vector>
+
 #include <gtest/gtest.h>
 
 #include "data/registry.h"
@@ -177,6 +180,60 @@ TEST(ProxyScoreCacheTest, GetOrComputeDoesNotCacheErrors) {
   // The failure stays live: a later call fails again instead of serving a
   // stale cached error.
   EXPECT_FALSE(cache.GetOrCompute(*scorer, zoo.model(0), *target).ok());
+}
+
+TEST(ProxyScoreCacheTest, PeekRefreshesRecencyWithoutCounting) {
+  MetricsRegistry metrics;
+  ProxyScoreCache cache(2, &metrics);
+  cache.Insert(Key(1, "a"), 1.0);
+  cache.Insert(Key(1, "b"), 2.0);
+  EXPECT_EQ(cache.Peek(Key(1, "a")), std::optional<double>(1.0));
+  EXPECT_FALSE(cache.Peek(Key(1, "c")).has_value());
+  EXPECT_EQ(cache.hits(), 0u);
+  EXPECT_EQ(cache.misses(), 0u);
+  EXPECT_EQ(metrics.counter("proxy_cache.hits").value(), 0u);
+  // "a" was touched last, so "b" is the one evicted.
+  cache.Insert(Key(1, "c"), 3.0);
+  EXPECT_TRUE(cache.Peek(Key(1, "a")).has_value());
+  EXPECT_FALSE(cache.Peek(Key(1, "b")).has_value());
+}
+
+TEST(ProxyScoreCacheTest, GetOrComputeBatchComputesMissesInOneCall) {
+  MetricsRegistry metrics;
+  ProxyScoreCache cache(8, &metrics);
+  cache.Insert(Key(2, "hit"), 0.5);
+  std::vector<std::vector<size_t>> calls;
+  auto compute = [&](const std::vector<size_t>& positions)
+      -> StatusOr<std::vector<double>> {
+    calls.push_back(positions);
+    std::vector<double> out;
+    for (size_t p : positions) out.push_back(10.0 + static_cast<double>(p));
+    return out;
+  };
+  auto scores = cache.GetOrComputeBatch(
+      {Key(2, "x"), Key(2, "hit"), Key(2, "y")}, compute);
+  ASSERT_TRUE(scores.ok());
+  EXPECT_EQ(*scores, (std::vector<double>{10.0, 0.5, 12.0}));
+  EXPECT_EQ(calls, (std::vector<std::vector<size_t>>{{0, 2}}));
+  EXPECT_EQ(cache.hits(), 1u);
+  EXPECT_EQ(cache.misses(), 2u);
+  EXPECT_EQ(cache.size(), 3u);
+
+  // A second pass is all hits: no compute call at all.
+  auto again = cache.GetOrComputeBatch(
+      {Key(2, "x"), Key(2, "hit"), Key(2, "y")}, compute);
+  ASSERT_TRUE(again.ok());
+  EXPECT_EQ(*again, *scores);
+  EXPECT_EQ(calls.size(), 1u);
+
+  // A failed batch caches nothing.
+  auto failed = cache.GetOrComputeBatch(
+      {Key(3, "z")},
+      [](const std::vector<size_t>&) -> StatusOr<std::vector<double>> {
+        return Status::InvalidArgument("no");
+      });
+  EXPECT_FALSE(failed.ok());
+  EXPECT_FALSE(cache.Peek(Key(3, "z")).has_value());
 }
 
 }  // namespace

@@ -9,6 +9,7 @@
 
 #include <cmath>
 #include <limits>
+#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -23,6 +24,7 @@
 #include "transfer/leep.h"
 #include "transfer/logme.h"
 #include "transfer/nce.h"
+#include "transfer/proxy_scorer.h"
 #include "util/rng.h"
 #include "util/thread_pool.h"
 
@@ -305,6 +307,180 @@ TEST(ForwardPassEquivalenceTest, SoAForwardPassMatchesReference) {
       ASSERT_TRUE(predictions.ok());
       ASSERT_TRUE(predictions_ref.ok());
       ExpectMatricesBitIdentical(*predictions, *predictions_ref);
+    }
+  }
+}
+
+// --- Stacked forward pass vs the per-model reference -----------------------
+
+// A probe wave mixing source-label counts, so panel columns of different
+// models share register blocks and the padded tail is exercised.
+const std::vector<int>& WaveLabelCounts() {
+  static const std::vector<int> counts = {2, 3, 7, 16, 31};
+  return counts;
+}
+
+StatusOr<PretrainedModel> MakeWaveModel(int index, int num_source_labels,
+                                        TaskDomain domain) {
+  ModelSpec spec;
+  spec.name = "stacked-wave-model-" + std::to_string(index);
+  spec.domain = domain;
+  spec.capability = 0.4 + 0.1 * static_cast<double>(index % 5);
+  spec.num_source_labels = num_source_labels;
+  spec.pretrain_tags = {"english", index % 2 == 0 ? "news" : "reviews"};
+  return PretrainedModel::Create(spec);
+}
+
+std::vector<PretrainedModel> MakeWave(TaskDomain domain) {
+  std::vector<PretrainedModel> models;
+  for (size_t i = 0; i < WaveLabelCounts().size(); ++i) {
+    auto model = MakeWaveModel(static_cast<int>(i), WaveLabelCounts()[i],
+                               domain);
+    EXPECT_TRUE(model.ok()) << model.status().ToString();
+    if (model.ok()) models.push_back(std::move(*model));
+  }
+  return models;
+}
+
+std::vector<const PretrainedModel*> Pointers(
+    const std::vector<PretrainedModel>& models) {
+  std::vector<const PretrainedModel*> pointers;
+  for (const PretrainedModel& model : models) pointers.push_back(&model);
+  return pointers;
+}
+
+// Every example count a 3-row register block can leave as a remainder,
+// around the 256 the paper inventory uses.
+const std::vector<int>& WaveExampleCounts() {
+  static const std::vector<int> counts = {1, 2, 3, 255, 256, 257};
+  return counts;
+}
+
+TEST(StackedForwardPassTest, MatchesPerModelReferenceOverMixedWave) {
+  const std::vector<PretrainedModel> models = MakeWave(TaskDomain::kNLP);
+  ASSERT_EQ(models.size(), WaveLabelCounts().size());
+  const std::vector<const PretrainedModel*> wave = Pointers(models);
+  for (int n : WaveExampleCounts()) {
+    auto target = MakeTarget(3, n);
+    ASSERT_TRUE(target.ok());
+    auto features = PretrainedModel::ExtractFeaturesBatch(wave, *target);
+    auto predictions =
+        PretrainedModel::PredictDistributionsBatch(wave, *target);
+    ASSERT_TRUE(features.ok()) << features.status().ToString();
+    ASSERT_TRUE(predictions.ok()) << predictions.status().ToString();
+    EXPECT_EQ(features->size(), wave.size());
+    EXPECT_EQ(predictions->size(), wave.size());
+    for (size_t k = 0; k < wave.size() && k < features->size() &&
+                       k < predictions->size();
+         ++k) {
+      SCOPED_TRACE("n=" + std::to_string(n) + " model " + std::to_string(k));
+      auto features_ref = wave[k]->ExtractFeaturesReference(*target);
+      auto predictions_ref = wave[k]->PredictDistributionsReference(*target);
+      ASSERT_TRUE(features_ref.ok());
+      ASSERT_TRUE(predictions_ref.ok());
+      ExpectMatricesBitIdentical((*features)[k], *features_ref);
+      ExpectMatricesBitIdentical((*predictions)[k], *predictions_ref);
+    }
+  }
+}
+
+TEST(StackedForwardPassTest, OneModelAndEmptyWaves) {
+  const std::vector<PretrainedModel> models = MakeWave(TaskDomain::kNLP);
+  ASSERT_FALSE(models.empty());
+  auto target = MakeTarget(4, 257);
+  ASSERT_TRUE(target.ok());
+  for (const PretrainedModel& model : models) {
+    auto stacked =
+        PretrainedModel::PredictDistributionsBatch({&model}, *target);
+    auto reference = model.PredictDistributionsReference(*target);
+    ASSERT_TRUE(stacked.ok());
+    ASSERT_TRUE(reference.ok());
+    EXPECT_EQ(stacked->size(), 1u);
+    if (stacked->size() == 1) {
+      ExpectMatricesBitIdentical((*stacked)[0], *reference);
+    }
+    // The single-model entry points are a batch of one.
+    auto single = model.PredictDistributions(*target);
+    ASSERT_TRUE(single.ok());
+    ExpectMatricesBitIdentical(*single, *reference);
+  }
+  auto empty_features = PretrainedModel::ExtractFeaturesBatch({}, *target);
+  auto empty_predictions =
+      PretrainedModel::PredictDistributionsBatch({}, *target);
+  ASSERT_TRUE(empty_features.ok());
+  ASSERT_TRUE(empty_predictions.ok());
+  EXPECT_EQ(empty_features->size(), 0u);
+  EXPECT_EQ(empty_predictions->size(), 0u);
+}
+
+TEST(StackedForwardPassTest, WrongDomainModelFailsLikeThePerModelCall) {
+  std::vector<PretrainedModel> models = MakeWave(TaskDomain::kNLP);
+  auto cv_model = MakeWaveModel(99, 5, TaskDomain::kCV);
+  ASSERT_TRUE(cv_model.ok());
+  // The CV model sits mid-wave: the wave fails with its error, exactly.
+  models.insert(models.begin() + 2, std::move(*cv_model));
+  const std::vector<const PretrainedModel*> wave = Pointers(models);
+  auto target = MakeTarget(3, 64);
+  ASSERT_TRUE(target.ok());
+  const Status expected = wave[2]->ExtractFeatures(*target).status();
+  EXPECT_EQ(expected.code(), StatusCode::kInvalidArgument);
+  EXPECT_EQ(wave[2]->PredictDistributionsReference(*target).status().code(),
+            expected.code());
+  for (bool softmax : {false, true}) {
+    auto stacked =
+        softmax ? PretrainedModel::PredictDistributionsBatch(wave, *target)
+                : PretrainedModel::ExtractFeaturesBatch(wave, *target);
+    ASSERT_FALSE(stacked.ok());
+    EXPECT_EQ(stacked.status().code(), expected.code());
+    EXPECT_EQ(stacked.status().message(), expected.message());
+  }
+}
+
+TEST(StackedForwardPassTest, EveryScorerBatchMatchesItsScoreLoop) {
+  const std::vector<PretrainedModel> models = MakeWave(TaskDomain::kNLP);
+  const std::vector<const PretrainedModel*> wave = Pointers(models);
+  auto cv_model = MakeWaveModel(99, 5, TaskDomain::kCV);
+  ASSERT_TRUE(cv_model.ok());
+  const std::vector<const PretrainedModel*> mixed = [&] {
+    std::vector<const PretrainedModel*> out = wave;
+    out.insert(out.begin() + 3, &*cv_model);
+    return out;
+  }();
+  for (int n : {3, 257}) {
+    auto target = MakeTarget(3, n);
+    ASSERT_TRUE(target.ok());
+    for (const char* name : {"leep", "nce", "logme", "knn"}) {
+      for (kernels::KernelMode mode : {kernels::KernelMode::kReference,
+                                       kernels::KernelMode::kBatched}) {
+        SCOPED_TRACE(std::string(name) + " n=" + std::to_string(n) +
+                     " mode " + kernels::ToString(mode));
+        auto scorer = MakeProxyScorer(name, mode);
+        ASSERT_TRUE(scorer.ok());
+        // ScoreBatch is defined as the Score loop, stopping at the first
+        // failing model: same scores, or the same error.
+        for (const std::vector<const PretrainedModel*>* models :
+             {&wave, &mixed}) {
+          std::vector<double> loop;
+          Status loop_error;
+          for (const PretrainedModel* model : *models) {
+            auto single = (*scorer)->Score(*model, *target);
+            if (!single.ok()) {
+              loop_error = single.status();
+              break;
+            }
+            loop.push_back(*single);
+          }
+          auto batch = (*scorer)->ScoreBatch(*models, *target);
+          EXPECT_EQ(batch.ok(), loop_error.ok());
+          if (batch.ok()) {
+            EXPECT_EQ(*batch, loop);
+          } else {
+            EXPECT_EQ(batch.status().code(), loop_error.code());
+            EXPECT_EQ(batch.status().message(), loop_error.message());
+          }
+        }
+        EXPECT_FALSE((*scorer)->ScoreBatch(mixed, *target).ok());
+      }
     }
   }
 }
