@@ -8,7 +8,7 @@
 //
 // Part 2 — the recall-latency-vs-zoo-size curve the sub-linear index was
 // built for: generated zoos of 1k-10k models (tps_cli zoo-gen lineage
-// structure), recall through the legacy clustering sweep (the brute-force
+// structure), recall through the clustering's brute-force index (the
 // oracle) vs the IVF index at its default nprobe, plus a recall@K-vs-
 // nprobe sweep and a full-probe bit-identity check against the oracle.
 //
@@ -195,8 +195,8 @@ void ReportIndexedRecall(BenchTelemetry* telemetry) {
         std::string("NLP/gen") + std::to_string(zoo_size) + "/index_build",
         index_timer.ElapsedMillis(), 0.0, 0.0);
 
-    // The oracle serves the index's own partitioning through the legacy
-    // sweep, so the two paths differ only in what they probe.
+    // The oracle serves the index's own partitioning through a
+    // brute-force index, so the two runs differ only in what they probe.
     ModelClustering clustering = ExitIfError(
         ClusteringFromIndexStructure(index.structure()), "clustering");
     CoarseRecall recall(&zoo, &matrix, &clustering);

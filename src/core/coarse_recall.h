@@ -2,6 +2,8 @@
 #define TPS_CORE_COARSE_RECALL_H_
 
 #include <cstddef>
+#include <mutex>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -41,9 +43,6 @@ struct RecallOptions {
   /// Inference cost is still 0.5 epochs per representative — all proxies
   /// consume the same forward pass over the target dataset.
   std::vector<std::string> proxies;
-  /// Ablation switch: when false, score every model directly instead of
-  /// only cluster representatives (O(|M|) proxies instead of O(|MC|)).
-  bool use_cluster_representatives = true;
   /// Ablation switch: when false, drop the acc(m) prior from Eq. 2 and use
   /// the proxy component alone.
   bool use_accuracy_prior = true;
@@ -72,26 +71,27 @@ struct RecallOptions {
   /// request running against another, even mid-swap. 0 (the default) is
   /// the never-swapped epoch used by embedded callers.
   uint64_t artifact_epoch = 0;
-  /// Optional sub-linear recall index ("Sub-linear recall index" in
-  /// DESIGN.md). When non-null, recall proxy-scores only the
-  /// representatives of the partitions the index probes and ranks only the
-  /// probed posting lists plus the propagation-only long tail — the whole
-  /// online phase runs off the index structure, never sweeping the zoo or
-  /// the performance matrix. The index must cover exactly the zoo. With a
-  /// BruteForceRecallIndex built over the serving clustering (or any
-  /// backend probed exhaustively) the result is bit-identical to the
-  /// legacy sweep — tests/index/index_equivalence_test.cc pins it. The
-  /// caller owns the index; it must outlive the call.
+  /// Recall index to rank through ("Sub-linear recall index" in
+  /// DESIGN.md). Recall proxy-scores only the representatives of the
+  /// partitions the index probes and ranks only the probed posting lists
+  /// plus the propagation-only long tail — the whole online phase runs off
+  /// the index structure, never sweeping the zoo or the performance
+  /// matrix. The index must cover exactly the zoo. nullptr (the default)
+  /// ranks through the clustering's own BruteForceRecallIndex
+  /// (IndexFromClustering), which probes every non-singleton cluster: the
+  /// paper's Eqs. 2-4 exactly, pinned against the reference sweep in
+  /// tests/index/index_equivalence_test.cc. The caller owns the index; it
+  /// must outlive the call.
   const RecallIndex* index = nullptr;
-  /// Scored partitions to probe per query in index mode: 0 = the
-  /// backend's default, larger values trade latency for recall, and
-  /// nprobe >= the scored-partition count reproduces brute force exactly.
-  /// Ignored when `index` is null.
+  /// Scored partitions to probe per query: 0 = the backend's default,
+  /// larger values trade latency for recall, and nprobe >= the
+  /// scored-partition count reproduces brute force exactly. The
+  /// brute-force index ignores it.
   size_t nprobe = 0;
   /// Optional pluggable recall backend ("Recall backends" in DESIGN.md).
   /// When non-null, TwoPhaseSelector routes phase 1 through this backend
   /// instead of the built-in CoarseRecall path; when null (the default)
-  /// the legacy path runs untouched — the representative backend is a
+  /// CoarseRecall runs directly — the representative backend is a
   /// pure delegation back to CoarseRecall, so routing through it is
   /// bit-identical (tests/recall/backend_equivalence_test.cc). Forward
   /// declared: core never links the recall library; the pointer is
@@ -138,10 +138,14 @@ struct RecallResult {
 /// Phase 1 of the framework: recalls the most promising K models by
 /// combining the benchmark-accuracy prior with a proxy score computed only
 /// for non-singleton cluster representatives (Eq. 3), propagated to
-/// singleton clusters by performance similarity (Eq. 4).
+/// singleton clusters by performance similarity (Eq. 4). Every call ranks
+/// through a RecallIndex: the caller's (RecallOptions::index) or the
+/// clustering's brute-force index, built on the first call that passes
+/// none and reused by every later one.
 class CoarseRecall {
  public:
-  /// All pointers must outlive this object.
+  /// All pointers must outlive this object, and the matrix and clustering
+  /// must not change under it.
   CoarseRecall(const ModelZoo* zoo, const PerformanceMatrix* matrix,
                const ModelClustering* clustering);
 
@@ -170,9 +174,15 @@ class CoarseRecall {
                                 const CancelToken* cancel = nullptr) const;
 
  private:
+  /// `options.index`, or the clustering's brute-force index (built once,
+  /// thread-safely, on first use).
+  StatusOr<const RecallIndex*> IndexFor(const RecallOptions& options) const;
+
   const ModelZoo* zoo_;
   const PerformanceMatrix* matrix_;
   const ModelClustering* clustering_;
+  mutable std::once_flag clustering_index_once_;
+  mutable std::optional<StatusOr<BruteForceRecallIndex>> clustering_index_;
 };
 
 }  // namespace tps

@@ -149,8 +149,8 @@ StatusOr<BruteForceRecallIndex> IndexFromClustering(
   // Vectors, priors, assignments and top-k all come straight from the
   // clustering artifact, and BruteForceRecallIndex re-derives the
   // representatives with the same highest-average-accuracy / first-wins
-  // rule as ClusterModels above, so recall through the index reproduces
-  // the legacy sweep bit-for-bit.
+  // rule as ClusterModels above, so recall through the index scores the
+  // clustering's own representatives.
   return BruteForceRecallIndex::Create(
       matrix.ModelVectors(), matrix.ModelAverageAccuracies(),
       clustering.clusters.assignments,

@@ -74,10 +74,11 @@ StatusOr<ModelClustering> ClusterModels(const PerformanceMatrix& matrix,
 /// Bridges between the clustering artifact and the recall index subsystem
 /// (src/index/), in both directions:
 ///
-/// A brute-force oracle index over an existing clustering's partitions.
-/// Vectors, priors, assignments, representatives and the Eq. 1 top-k all
-/// come from the clustering + matrix pair, so recall through the returned
-/// index is bit-identical to the legacy clustering sweep
+/// A brute-force index over an existing clustering's partitions: what
+/// CoarseRecall ranks through when the caller passes no index. Vectors,
+/// priors, assignments, representatives and the Eq. 1 top-k all come from
+/// the clustering + matrix pair, so recall through the returned index is
+/// the paper's Eqs. 2-4 over the clustering
 /// (tests/index/index_equivalence_test.cc).
 StatusOr<BruteForceRecallIndex> IndexFromClustering(
     const PerformanceMatrix& matrix, const ModelClustering& clustering);
@@ -86,8 +87,8 @@ StatusOr<BruteForceRecallIndex> IndexFromClustering(
 /// representatives; no O(n^2) distance matrix — generated zoos are too
 /// large for one). This is how large generated zoos get a serving
 /// clustering: the index partitioning doubles as the cluster structure,
-/// so the legacy recall path over it is exactly the brute-force oracle
-/// the indexed path is measured against. Fails if any partition is empty.
+/// so index-less recall over it is exactly the brute-force oracle the
+/// probed index is measured against. Fails if any partition is empty.
 StatusOr<ModelClustering> ClusteringFromIndexStructure(
     const IndexStructure& structure);
 

@@ -11,11 +11,8 @@ TwoPhaseSelector::TwoPhaseSelector(const ModelZoo* zoo,
                                    const FineTuneSimulator* simulator)
     : zoo_(zoo),
       matrix_(matrix),
-      clustering_(clustering),
-      simulator_(simulator) {
-  TPS_CHECK(zoo_ != nullptr);
-  TPS_CHECK(matrix_ != nullptr);
-  TPS_CHECK(clustering_ != nullptr);
+      simulator_(simulator),
+      recall_(zoo, matrix, clustering) {
   TPS_CHECK(simulator_ != nullptr);
 }
 
@@ -33,7 +30,7 @@ StatusOr<TwoPhaseReport> TwoPhaseSelector::Select(
   }
   if (options.num_threads == 1) return Select(target, options, hp, nullptr);
   // One pool for the whole call, shared by both phases. Never more
-  // workers than the widest fan-out (all models scored directly).
+  // workers than the widest fan-out (the per-model ranking sweep).
   ThreadPool pool(ThreadPool::ClampThreads(options.num_threads,
                                            zoo_->size()));
   return Select(target, options, hp, &pool);
@@ -55,9 +52,9 @@ StatusOr<TwoPhaseReport> TwoPhaseSelector::Select(
 
   // Phase 1: coarse recall (charges 0.5 epoch-equivalents per proxy).
   // A non-null pluggable backend takes over the whole phase; the default
-  // null path is the paper's cluster-representative proxy recall,
-  // untouched (the representative backend delegates right back here, so
-  // the two routes are bit-identical).
+  // null path is the paper's cluster-representative proxy recall (the
+  // representative backend delegates right back to CoarseRecall, so the
+  // two routes are bit-identical).
   if (options.recall.backend != nullptr) {
     TPS_ASSIGN_OR_RETURN(
         report.recall,
@@ -65,10 +62,10 @@ StatusOr<TwoPhaseReport> TwoPhaseSelector::Select(
                                        &report.budget, pool, metrics, trace,
                                        options.cancel));
   } else {
-    CoarseRecall recall(zoo_, matrix_, clustering_);
     TPS_ASSIGN_OR_RETURN(report.recall,
-                         recall.Recall(target, options.recall, &report.budget,
-                                       pool, metrics, trace, options.cancel));
+                         recall_.Recall(target, options.recall,
+                                        &report.budget, pool, metrics, trace,
+                                        options.cancel));
   }
   const std::vector<size_t> candidates =
       report.recall.TopModels(options.recall.top_k_models);

@@ -94,8 +94,10 @@ class TwoPhaseSelector {
  private:
   const ModelZoo* zoo_;
   const PerformanceMatrix* matrix_;
-  const ModelClustering* clustering_;
   const FineTuneSimulator* simulator_;
+  /// Phase 1, shared by every Select so the clustering's brute-force
+  /// index is built at most once per selector.
+  CoarseRecall recall_;
 };
 
 }  // namespace tps

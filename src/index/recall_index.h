@@ -10,11 +10,11 @@
 namespace tps {
 
 /// The partition layout every RecallIndex backend exposes to the recall
-/// phase ("Sub-linear recall index" in DESIGN.md). It plays the role the
-/// ModelClustering plays for the legacy full-sweep path, but carries its
-/// own copies of the per-model data the online path reads (performance
-/// vectors + accuracy priors), so consuming it never walks the zoo or the
-/// performance matrix.
+/// phase ("Sub-linear recall index" in DESIGN.md): the paper's
+/// ModelClustering recast as partitions, carrying its own copies of the
+/// per-model data the online path reads (performance vectors + accuracy
+/// priors), so consuming it never walks the zoo or the performance
+/// matrix.
 ///
 /// Terminology:
 ///  - partition: one posting list of model indices (a coarse-quantizer
@@ -127,11 +127,12 @@ class RecallIndex {
   IndexStructure structure_;
 };
 
-/// The oracle backend: an arbitrary partitioning (typically a
+/// The exhaustive backend: an arbitrary partitioning (typically a
 /// ModelClustering's assignments, or another index's partitioning) probed
-/// exhaustively. Recall through this backend is bit-identical to the
-/// legacy clustering sweep — tests/index/index_equivalence_test.cc pins
-/// it — so it anchors both ends of the equivalence chain.
+/// in full. CoarseRecall serves the paper's clustering through it (built
+/// by IndexFromClustering); recall through it is the paper's Eqs. 2-4
+/// exactly — tests/index/index_equivalence_test.cc pins it against a
+/// reference sweep.
 class BruteForceRecallIndex : public RecallIndex {
  public:
   /// `assignments[m]` in [0, num_partitions); `vectors` and `prior` are

@@ -228,8 +228,8 @@ SelectionResponse SelectionService::Run(const SelectionRequest& request,
       options.recall.nprobe = request.nprobe;
       response.index_backend = artifacts.index->name();
     }
-    // Recall backend routing: an empty name is the legacy built-in path
-    // (provably untouched — no backend pointer is even set); a named
+    // Recall backend routing: an empty name runs CoarseRecall directly
+    // (no backend pointer is even set); a named
     // backend resolves against this snapshot's own backend set, so the
     // backend and the artifacts it reads are always the same version.
     if (!request.recall_backend.empty()) {

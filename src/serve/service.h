@@ -79,12 +79,13 @@ struct SelectionRequest {
   /// When true the response carries the full SelectionTrace.
   bool want_trace = false;
   /// When true (the default) and the published artifacts carry a recall
-  /// index, recall runs the sub-linear indexed path; false forces the
-  /// legacy clustering sweep (per-request A/B switch). No effect when the
-  /// artifacts have no index.
+  /// index, recall probes that index; false ranks through the clustering's
+  /// brute-force index instead (per-request A/B switch). No effect when
+  /// the artifacts have no index.
   bool use_index = true;
-  /// Scored partitions to probe in index mode; 0 = the index's default.
-  /// Probing every partition reproduces the legacy sweep bit-for-bit.
+  /// Scored partitions to probe in the published index; 0 = the index's
+  /// default. Probing every partition (with exact propagation) reproduces
+  /// the brute-force ranking over its partitioning bit-for-bit.
   size_t nprobe = 0;
   /// Recall backend routing ("Recall backends" in DESIGN.md): empty (the
   /// default) runs the built-in representative path exactly as before the
@@ -120,7 +121,7 @@ struct SelectionResponse {
   /// one version.
   uint64_t artifact_version = 0;
   /// Recall index backend that served this request ("ivf", ...), empty
-  /// when recall ran the legacy clustering sweep.
+  /// when recall ran through the clustering's brute-force index.
   std::string index_backend;
   /// Recall backend that served this request, echoed from the request;
   /// empty when the built-in path ran unrouted.

@@ -147,25 +147,6 @@ StatusOr<std::vector<double>> ProxyScoreCache::GetOrComputeBatch(
   return scores;
 }
 
-StatusOr<double> ProxyScoreCache::GetOrCompute(const ProxyScorer& scorer,
-                                               const PretrainedModel& model,
-                                               const Dataset& target,
-                                               uint64_t artifact_epoch) {
-  ProxyCacheKey key;
-  key.dataset_fingerprint = DatasetFingerprint(target);
-  key.model = model.name();
-  key.scorer = scorer.name();
-  key.artifact_epoch = artifact_epoch;
-  TPS_ASSIGN_OR_RETURN(
-      std::vector<double> scores,
-      GetOrComputeBatch({key}, [&](const std::vector<size_t>&)
-                                   -> StatusOr<std::vector<double>> {
-        TPS_ASSIGN_OR_RETURN(double score, scorer.Score(model, target));
-        return std::vector<double>{score};
-      }));
-  return scores[0];
-}
-
 void ProxyScoreCache::Clear() {
   std::lock_guard<std::mutex> lock(mu_);
   lru_.clear();

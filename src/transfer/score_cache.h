@@ -108,14 +108,6 @@ class ProxyScoreCache {
   StatusOr<std::vector<double>> GetOrComputeBatch(
       const std::vector<ProxyCacheKey>& keys, const BatchCompute& compute);
 
-  /// A batch of one: cache hit, or compute via `scorer.Score(model,
-  /// target)` and cache the successful result. `artifact_epoch` tags the
-  /// key (see ProxyCacheKey).
-  StatusOr<double> GetOrCompute(const ProxyScorer& scorer,
-                                const PretrainedModel& model,
-                                const Dataset& target,
-                                uint64_t artifact_epoch = 0);
-
   /// Drops every entry (counters are retained).
   void Clear();
 

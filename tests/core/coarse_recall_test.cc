@@ -168,19 +168,6 @@ TEST_F(CoarseRecallTest, RecallsBetterThanRandomOnMnli) {
   EXPECT_GT(recalled, random);
 }
 
-TEST_F(CoarseRecallTest, DirectScoringAblationComputesAllProxies) {
-  CoarseRecall recall(zoo_, matrix_, clustering_);
-  RecallOptions options;
-  options.use_cluster_representatives = false;
-  EpochBudget budget;
-  auto result = *recall.Recall(*target_, options, &budget);
-  EXPECT_EQ(result.proxies_computed, zoo_->size());
-  EXPECT_DOUBLE_EQ(budget.inference_epochs(), 0.5 * 40.0);
-  for (const RecallEntry& entry : result.ranked) {
-    EXPECT_FALSE(entry.via_propagation);
-  }
-}
-
 TEST_F(CoarseRecallTest, PriorAblationUsesProxyOnly) {
   CoarseRecall recall(zoo_, matrix_, clustering_);
   RecallOptions options;

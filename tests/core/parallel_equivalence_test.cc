@@ -10,6 +10,8 @@
 // counts {1, 2, 7, 2 x hardware}. All comparisons are exact (==), never
 // within-epsilon.
 
+#include <algorithm>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -23,6 +25,7 @@
 #include "core/two_phase.h"
 #include "data/dataset.h"
 #include "data/registry.h"
+#include "index/ivf_index.h"
 #include "model/paper_zoo.h"
 #include "model/zoo.h"
 #include "sim/finetune_simulator.h"
@@ -46,6 +49,9 @@ struct RandomConfig {
   Dataset target;
   PerformanceMatrix matrix;
   ModelClustering clustering;
+  /// Set in the configurations that recall through an IVF index
+  /// (options.recall.index points into it).
+  std::shared_ptr<const IvfIndex> index;
   TwoPhaseOptions options;
   Hyperparams hp;
 
@@ -130,9 +136,12 @@ RandomConfig MakeRandomConfig(uint64_t seed) {
       *ClusterModels(matrix, zoo, ModelClusteringOptions());
 
   TwoPhaseOptions options;
+  std::shared_ptr<const IvfIndex> index;
   options.recall.top_k_models = 4 + rng.UniformInt(uint64_t{5});  // 4..8
   // Exercise the different recall code paths across configurations:
-  // single-proxy via representatives, multi-proxy, and direct scoring.
+  // single-proxy via representatives, multi-proxy, and an IVF probed at
+  // half its scored partitions (the novel target takes the two-wave
+  // adaptive probe).
   switch (rng.UniformInt(uint64_t{3})) {
     case 0:
       options.recall.proxy = "leep";
@@ -141,15 +150,21 @@ RandomConfig MakeRandomConfig(uint64_t seed) {
       options.recall.proxies = {"leep", "nce"};
       break;
     default:
-      options.recall.use_cluster_representatives = false;
+      index = std::make_shared<const IvfIndex>(
+          *IvfIndex::Build(matrix.ModelVectors(),
+                           matrix.ModelAverageAccuracies(),
+                           IvfIndexOptions()));
+      options.recall.index = index.get();
+      options.recall.nprobe = std::max<size_t>(
+          1, index->structure().scored_partitions.size() / 2);
       break;
   }
   options.fine_selection.threshold = rng.Bernoulli(0.5) ? 0.0 : 0.02;
 
   return RandomConfig{std::move(zoo),        std::move(benchmarks),
                       std::move(target),     std::move(matrix),
-                      std::move(clustering), options,
-                      hp};
+                      std::move(clustering), std::move(index),
+                      options,               hp};
 }
 
 void ExpectBitIdentical(const TwoPhaseReport& serial,

@@ -1,31 +1,39 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
+#include <string>
 #include <vector>
 
+#include "clustering/distance.h"
 #include "core/coarse_recall.h"
 #include "core/model_clusterer.h"
 #include "core/performance_matrix.h"
 #include "data/registry.h"
 #include "index/ivf_index.h"
 #include "index/recall_index.h"
+#include "model/paper_zoo.h"
 #include "model/zoo.h"
 #include "model/zoo_gen.h"
 #include "sim/epoch_budget.h"
 #include "sim/finetune_simulator.h"
+#include "transfer/proxy_scorer.h"
 #include "util/thread_pool.h"
 
 namespace tps {
 namespace {
 
 // The equivalence theorems pinned here (DESIGN.md "Sub-linear recall
-// index"):
+// index"), against ReferenceSweep below — the paper's Eqs. 2-4 written
+// directly over a clustering:
 //  A. An IvfIndex built with exact propagation (propagation_neighbors = 0)
-//     and probed in full reproduces the legacy clustering sweep over its
-//     own partitioning bit for bit — scores, recalled set, tie order and
-//     the epoch ledger.
-//  B. A BruteForceRecallIndex lifted from a real ModelClustering
-//     reproduces the legacy CoarseRecall over that clustering bit for bit.
+//     and probed in full reproduces the reference sweep over its own
+//     partitioning bit for bit — scores, recalled set, tie order and the
+//     epoch ledger.
+//  B. CoarseRecall over a real ModelClustering — index-less (the
+//     clustering's own brute-force index) or through an explicit
+//     IndexFromClustering — reproduces the reference sweep bit for bit,
+//     on generated zoos and on both paper zoos for every target and proxy.
 //  C. Incremental Insert against a frozen quantizer equals the
 //     from-scratch BuildWithCentroids rebuild over the grown inputs.
 // Each theorem is fuzzed over zoo sizes and seeds and run serial and on a
@@ -62,9 +70,72 @@ World MakeWorld(size_t num_models, uint64_t seed) {
   return world;
 }
 
+// The paper's coarse recall as a direct sweep over a clustering: score the
+// non-singleton cluster representatives (every representative when all
+// clusters are singletons) with each proxy's per-model Score, min-max
+// normalize each proxy across them and average (Eq. 2); each member of a
+// scored cluster inherits its representative's value (Eq. 3), every other
+// model takes the Eq. 1 similarity-weighted mean over all scored
+// representatives (Eq. 4); the prior multiplies in, and a stable sort
+// ranks. Charges 0.5 epochs per scored representative to `budget`.
+RecallResult ReferenceSweep(const ModelZoo& zoo,
+                            const PerformanceMatrix& matrix,
+                            const ModelClustering& clustering,
+                            const Dataset& target,
+                            const std::vector<std::string>& proxies,
+                            EpochBudget* budget) {
+  std::vector<size_t> scored;
+  for (int c : clustering.NonSingletonClusters()) {
+    scored.push_back(clustering.representatives[static_cast<size_t>(c)]);
+  }
+  if (scored.empty()) scored = clustering.representatives;
+  std::vector<double> norm(scored.size(), 0.0);
+  for (const std::string& name : proxies) {
+    const std::unique_ptr<ProxyScorer> scorer = MakeProxyScorer(name).value();
+    std::vector<double> raw;
+    for (size_t m : scored) raw.push_back(*scorer->Score(zoo.model(m), target));
+    const std::vector<double> normalized = MinMaxNormalize(raw);
+    for (size_t i = 0; i < scored.size(); ++i) {
+      norm[i] += normalized[i] / static_cast<double>(proxies.size());
+    }
+  }
+  for (size_t i = 0; i < scored.size(); ++i) budget->ChargeProxyInference();
+
+  RecallResult result;
+  result.proxies_computed = scored.size();
+  for (size_t m = 0; m < zoo.size(); ++m) {
+    RecallEntry entry;
+    entry.model_index = m;
+    entry.prior_accuracy = matrix.ModelAverageAccuracy(m);
+    const size_t rep = clustering.representatives[static_cast<size_t>(
+        clustering.ClusterOf(m))];
+    const auto own = std::find(scored.begin(), scored.end(), rep);
+    if (own != scored.end()) {
+      entry.proxy_component = norm[static_cast<size_t>(own - scored.begin())];
+    } else {
+      entry.via_propagation = true;
+      double accum = 0.0;
+      for (size_t i = 0; i < scored.size(); ++i) {
+        accum += PerformanceSimilarity(matrix.ModelVector(m),
+                                       matrix.ModelVector(scored[i]),
+                                       clustering.options.top_k) *
+                 norm[i];
+      }
+      entry.proxy_component = accum / static_cast<double>(scored.size());
+    }
+    entry.recall_score = entry.prior_accuracy * entry.proxy_component;
+    result.ranked.push_back(entry);
+  }
+  std::stable_sort(result.ranked.begin(), result.ranked.end(),
+                   [](const RecallEntry& a, const RecallEntry& b) {
+                     return a.recall_score > b.recall_score;
+                   });
+  return result;
+}
+
 // Bit-for-bit: EXPECT_EQ on doubles is exact equality, which is the
-// contract — the indexed path must run the same arithmetic in the same
-// order, not merely land close.
+// contract — recall must run the same arithmetic in the same order as the
+// reference, not merely land close.
 void ExpectIdentical(const RecallResult& a, const RecallResult& b) {
   EXPECT_EQ(a.proxies_computed, b.proxies_computed);
   ASSERT_EQ(a.ranked.size(), b.ranked.size());
@@ -74,6 +145,32 @@ void ExpectIdentical(const RecallResult& a, const RecallResult& b) {
     EXPECT_EQ(a.ranked[i].prior_accuracy, b.ranked[i].prior_accuracy) << i;
     EXPECT_EQ(a.ranked[i].proxy_component, b.ranked[i].proxy_component) << i;
     EXPECT_EQ(a.ranked[i].via_propagation, b.ranked[i].via_propagation) << i;
+  }
+}
+
+// Recall through `recall` (serial and on a 4-thread pool) equals the
+// reference sweep over `clustering`, ledger included.
+void ExpectRecallEqualsReference(const CoarseRecall& recall,
+                                 const ModelZoo& zoo,
+                                 const PerformanceMatrix& matrix,
+                                 const ModelClustering& clustering,
+                                 const Dataset& target,
+                                 const RecallOptions& options) {
+  const std::vector<std::string> proxies =
+      options.proxies.empty() ? std::vector<std::string>{options.proxy}
+                              : options.proxies;
+  EpochBudget reference_budget;
+  const RecallResult reference = ReferenceSweep(
+      zoo, matrix, clustering, target, proxies, &reference_budget);
+  ThreadPool pool(4);
+  for (ThreadPool* p : {static_cast<ThreadPool*>(nullptr), &pool}) {
+    SCOPED_TRACE(p == nullptr ? "serial" : "pool");
+    EpochBudget budget;
+    auto result = recall.Recall(target, options, &budget, p);
+    ASSERT_TRUE(result.ok()) << result.status().message();
+    ExpectIdentical(reference, *result);
+    EXPECT_EQ(budget.inference_epochs(), reference_budget.inference_epochs());
+    EXPECT_EQ(budget.training_epochs(), reference_budget.training_epochs());
   }
 }
 
@@ -95,32 +192,13 @@ TEST(IndexEquivalenceTest, FullProbeIvfEqualsLegacySweep) {
     CoarseRecall recall(world.zoo.get(), world.matrix.get(),
                         &*clustering);
 
-    RecallOptions legacy_options;
-    EpochBudget legacy_budget;
-    auto legacy =
-        recall.Recall(*world.target, legacy_options, &legacy_budget);
-    ASSERT_TRUE(legacy.ok()) << legacy.status().message();
-
     RecallOptions indexed_options;
     indexed_options.index = &*index;
     indexed_options.nprobe = index->num_partitions();  // Full probe.
-    EpochBudget indexed_budget;
-    auto indexed =
-        recall.Recall(*world.target, indexed_options, &indexed_budget);
-    ASSERT_TRUE(indexed.ok()) << indexed.status().message();
-
-    ExpectIdentical(*legacy, *indexed);
-    EXPECT_EQ(indexed_budget.inference_epochs(),
-              legacy_budget.inference_epochs());
-    EXPECT_EQ(indexed_budget.training_epochs(),
-              legacy_budget.training_epochs());
-
-    // Same theorem on a pool: the fan-out must not perturb a single bit.
-    ThreadPool pool(4);
-    auto pooled =
-        recall.Recall(*world.target, indexed_options, nullptr, &pool);
-    ASSERT_TRUE(pooled.ok()) << pooled.status().message();
-    ExpectIdentical(*legacy, *pooled);
+    ExpectRecallEqualsReference(recall, *world.zoo, *world.matrix,
+                                *clustering, *world.target, indexed_options);
+    ExpectRecallEqualsReference(recall, *world.zoo, *world.matrix,
+                                *clustering, *world.target, RecallOptions());
   }
 }
 
@@ -135,27 +213,42 @@ TEST(IndexEquivalenceTest, BruteForceFromClusteringEqualsLegacySweep) {
     ASSERT_TRUE(index.ok()) << index.status().message();
     CoarseRecall recall(world.zoo.get(), world.matrix.get(), &*clustering);
 
-    EpochBudget legacy_budget;
-    auto legacy =
-        recall.Recall(*world.target, RecallOptions(), &legacy_budget);
-    ASSERT_TRUE(legacy.ok()) << legacy.status().message();
-
+    // Index-less: CoarseRecall builds the same brute-force index itself.
+    ExpectRecallEqualsReference(recall, *world.zoo, *world.matrix,
+                                *clustering, *world.target, RecallOptions());
     RecallOptions indexed_options;
     indexed_options.index = &*index;
-    EpochBudget indexed_budget;
-    auto indexed =
-        recall.Recall(*world.target, indexed_options, &indexed_budget);
-    ASSERT_TRUE(indexed.ok()) << indexed.status().message();
+    ExpectRecallEqualsReference(recall, *world.zoo, *world.matrix,
+                                *clustering, *world.target, indexed_options);
+  }
 
-    ExpectIdentical(*legacy, *indexed);
-    EXPECT_EQ(indexed_budget.inference_epochs(),
-              legacy_budget.inference_epochs());
-
-    ThreadPool pool(3);
-    auto pooled =
-        recall.Recall(*world.target, indexed_options, nullptr, &pool);
-    ASSERT_TRUE(pooled.ok()) << pooled.status().message();
-    ExpectIdentical(*legacy, *pooled);
+  // The paper zoos, index-less: every paper target x each proxy alone and
+  // all four combined.
+  std::vector<RecallOptions> proxy_configs(5);
+  const char* const kProxies[] = {"leep", "nce", "logme", "knn"};
+  for (size_t i = 0; i < 4; ++i) {
+    proxy_configs[i].proxy = kProxies[i];
+    proxy_configs[4].proxies.push_back(kProxies[i]);
+  }
+  const DatasetRegistry registry = *DatasetRegistry::CreatePaperInventory();
+  const FineTuneSimulator simulator;
+  for (TaskDomain domain : {TaskDomain::kNLP, TaskDomain::kCV}) {
+    const ModelZoo zoo = *ModelZoo::Create(
+        domain == TaskDomain::kNLP ? NlpPaperZooSpecs() : CvPaperZooSpecs());
+    const PerformanceMatrix matrix = *PerformanceMatrix::Build(
+        zoo, registry.Benchmarks(domain), simulator,
+        Hyperparams::DefaultsFor(domain));
+    const ModelClustering clustering =
+        *ClusterModels(matrix, zoo, ModelClusteringOptions());
+    const CoarseRecall recall(&zoo, &matrix, &clustering);
+    for (const Dataset* target : registry.Targets(domain)) {
+      for (const RecallOptions& options : proxy_configs) {
+        SCOPED_TRACE(target->name() + " / " +
+                     (options.proxies.empty() ? options.proxy : "combined"));
+        ExpectRecallEqualsReference(recall, zoo, matrix, clustering, *target,
+                                    options);
+      }
+    }
   }
 }
 

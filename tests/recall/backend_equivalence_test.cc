@@ -20,10 +20,10 @@ namespace {
 
 // The interchangeability contracts of the pluggable recall backends:
 // "representative" is a pure delegation to CoarseRecall (bit-identical
-// ranking AND epoch ledger, serial or pooled, legacy or indexed), routing
-// a TwoPhaseSelector through it changes nothing, "embedding" ranks with
-// dot products only (zero proxies, zero budget), and "hybrid" charges
-// exactly what its representative leg charged.
+// ranking AND epoch ledger, serial or pooled, index-less or indexed),
+// routing a TwoPhaseSelector through it changes nothing, "embedding"
+// ranks with dot products only (zero proxies, zero budget), and "hybrid"
+// charges exactly what its representative leg charged.
 
 void ExpectSameRanking(const RecallResult& a, const RecallResult& b) {
   ASSERT_EQ(a.ranked.size(), b.ranked.size());

@@ -14,8 +14,8 @@ namespace {
 
 // End-to-end indexed serving: the published ServiceArtifacts carry an
 // IvfIndex, requests route through it (reporting the backend), the
-// per-request A/B switch falls back to the legacy sweep, and a hot Reload
-// can introduce an index to a running service.
+// per-request A/B switch falls back to the clustering's brute-force
+// index, and a hot Reload can introduce an index to a running service.
 
 ServiceArtifacts BuildArtifacts(bool with_index) {
   auto artifacts = ServiceArtifacts::Build(TaskDomain::kNLP);
@@ -30,7 +30,7 @@ ServiceArtifacts BuildArtifacts(bool with_index) {
                                options);
   EXPECT_TRUE(index.ok()) << index.status().message();
   // The index partitioning doubles as the serving clustering, so the
-  // legacy fallback ranks the same partitions the indexed path probes.
+  // brute-force fallback ranks the same partitions the IVF probes.
   auto clustering = ClusteringFromIndexStructure(index->structure());
   EXPECT_TRUE(clustering.ok()) << clustering.status().message();
   artifacts->clustering = *std::move(clustering);
@@ -115,8 +115,8 @@ TEST(IndexServingTest, IndexFreeArtifactsIgnoreTheRequestFlag) {
   ASSERT_TRUE(service.ok()) << service.status().message();
   SelectionRequest request;
   request.target = "mnli";
-  request.use_index = true;  // No index published: served legacy, not an
-                             // error.
+  request.use_index = true;  // No index published: served through the
+                             // clustering, not an error.
   const SelectionResponse response = (*service)->Handle(request);
   ASSERT_TRUE(response.status.ok()) << response.status.message();
   EXPECT_TRUE(response.index_backend.empty());

@@ -22,6 +22,28 @@ ProxyCacheKey Key(uint64_t fp, const std::string& model,
   return key;
 }
 
+// A batch of one through GetOrComputeBatch, keyed the way coarse recall
+// keys a (target, model, scorer) proxy: a cache hit, or `scorer.Score` on
+// a miss.
+StatusOr<double> GetOrComputeOne(ProxyScoreCache& cache,
+                                 const ProxyScorer& scorer,
+                                 const PretrainedModel& model,
+                                 const Dataset& target) {
+  ProxyCacheKey key;
+  key.dataset_fingerprint = DatasetFingerprint(target);
+  key.model = model.name();
+  key.scorer = scorer.name();
+  TPS_ASSIGN_OR_RETURN(
+      std::vector<double> scores,
+      cache.GetOrComputeBatch(
+          {key},
+          [&](const std::vector<size_t>&) -> StatusOr<std::vector<double>> {
+            TPS_ASSIGN_OR_RETURN(double score, scorer.Score(model, target));
+            return std::vector<double>{score};
+          }));
+  return scores[0];
+}
+
 TEST(DatasetFingerprintTest, DeterministicAcrossCalls) {
   DatasetRegistry registry = *DatasetRegistry::CreatePaperInventory();
   const Dataset* mnli = *registry.Find("mnli");
@@ -152,13 +174,13 @@ TEST(ProxyScoreCacheTest, GetOrComputeCachesBitIdenticalScores) {
 
   MetricsRegistry metrics;
   ProxyScoreCache cache(8, &metrics);
-  auto first = cache.GetOrCompute(*scorer, zoo.model(0), *target);
+  auto first = GetOrComputeOne(cache, *scorer, zoo.model(0), *target);
   ASSERT_TRUE(first.ok());
   auto direct = scorer->Score(zoo.model(0), *target);
   ASSERT_TRUE(direct.ok());
   EXPECT_EQ(*first, *direct);  // Bit-identical, not approximately equal.
 
-  auto second = cache.GetOrCompute(*scorer, zoo.model(0), *target);
+  auto second = GetOrComputeOne(cache, *scorer, zoo.model(0), *target);
   ASSERT_TRUE(second.ok());
   EXPECT_EQ(*second, *first);
   EXPECT_EQ(cache.hits(), 1u);
@@ -175,11 +197,11 @@ TEST(ProxyScoreCacheTest, GetOrComputeDoesNotCacheErrors) {
 
   MetricsRegistry metrics;
   ProxyScoreCache cache(8, &metrics);
-  EXPECT_FALSE(cache.GetOrCompute(*scorer, zoo.model(0), *target).ok());
+  EXPECT_FALSE(GetOrComputeOne(cache, *scorer, zoo.model(0), *target).ok());
   EXPECT_EQ(cache.size(), 0u);
   // The failure stays live: a later call fails again instead of serving a
   // stale cached error.
-  EXPECT_FALSE(cache.GetOrCompute(*scorer, zoo.model(0), *target).ok());
+  EXPECT_FALSE(GetOrComputeOne(cache, *scorer, zoo.model(0), *target).ok());
 }
 
 TEST(ProxyScoreCacheTest, PeekRefreshesRecencyWithoutCounting) {

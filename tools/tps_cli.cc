@@ -495,8 +495,8 @@ int RunRecall(const FlagParser& flags) {
   options.proxies = flags.GetList("proxies");
 
   // --index=PATH loads a serialized IvfIndex; --index=store fetches it
-  // from the --store under the artifact id. Either way recall runs the
-  // sub-linear indexed path instead of the legacy clustering sweep.
+  // from the --store under the artifact id. Either way recall probes that
+  // index instead of the clustering's brute-force one.
   std::optional<IvfIndex> index;
   const std::string index_flag = flags.GetString("index");
   if (!index_flag.empty()) {
