@@ -7,14 +7,16 @@
 // 5k generated zoo: one PredictDistributions call per model against one
 // stacked PredictDistributionsBatch call for the wave.
 //
-// Each proxy scorer runs twice — once with the retained scalar reference
-// kernels, once with the batched SoA kernels that are the production
-// default — so a run reports the vectorization speedup directly. A custom
+// Each proxy score runs twice on the same production forward pass — once
+// feeding the scalar reference kernel from the test-oracle library
+// (tests/oracles/), once through the production scorer and its batched SoA
+// kernel — so a run reports the vectorization speedup directly. A custom
 // main mirrors every measured time into the BENCH_micro_kernels.json
 // sidecar (see bench/telemetry.h) alongside the per-kernel speedups.
 
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
 #include <string>
 #include <thread>
 #include <utility>
@@ -29,11 +31,8 @@
 #include "model/zoo_gen.h"
 #include "model/zoo.h"
 #include "sim/finetune_simulator.h"
-#include "transfer/kernels.h"
-#include "transfer/knn_proxy.h"
-#include "transfer/leep.h"
-#include "transfer/logme.h"
-#include "transfer/nce.h"
+#include "tests/oracles/reference_kernels.h"
+#include "transfer/proxy_scorer.h"
 #include "util/logging.h"
 #include "util/rng.h"
 
@@ -115,49 +114,63 @@ BENCHMARK_CAPTURE(BM_ForwardWave, Stacked, true)
     ->Repetitions(9)
     ->ReportAggregatesOnly(true);
 
-void BM_LeepScore(benchmark::State& state, kernels::KernelMode mode) {
-  LeepScorer scorer(mode);
-  for (auto _ : state) {
-    auto score = scorer.Score(Model(), TargetDataset());
-    TPS_CHECK_OK(score.status());
-    benchmark::DoNotOptimize(*score);
+// The Reference side of each pair: the production forward pass feeding
+// the oracle kernel the arguments the scorer's validating wrapper hands its
+// batched kernel, so the two sides differ in the kernel alone.
+StatusOr<double> ReferenceScore(const std::string& proxy) {
+  const Dataset& target = TargetDataset();
+  const std::vector<int> labels = TargetLabels(target);
+  const size_t num_target = static_cast<size_t>(target.spec().num_labels);
+  if (proxy == "leep" || proxy == "nce") {
+    TPS_ASSIGN_OR_RETURN(Matrix predictions,
+                         Model().PredictDistributions(target));
+    return proxy == "leep"
+               ? kernels::LeepReference(predictions, labels, num_target)
+               : kernels::NceReference(predictions, labels, num_target);
   }
+  TPS_ASSIGN_OR_RETURN(Matrix features, Model().ExtractFeatures(target));
+  if (proxy == "logme") {
+    return kernels::LogMeReference(features, labels, num_target);
+  }
+  return kernels::KnnReference(
+      features, labels, std::min<size_t>(/*k=*/5, features.rows() - 1));
 }
-BENCHMARK_CAPTURE(BM_LeepScore, Reference, kernels::KernelMode::kReference);
-BENCHMARK_CAPTURE(BM_LeepScore, Batched, kernels::KernelMode::kBatched);
 
-void BM_NceScore(benchmark::State& state, kernels::KernelMode mode) {
-  NceScorer scorer(mode);
+void ProxyScoreLoop(benchmark::State& state, const std::string& proxy,
+                    bool reference) {
+  auto scorer = MakeProxyScorer(proxy);
+  TPS_CHECK_OK(scorer.status());
   for (auto _ : state) {
-    auto score = scorer.Score(Model(), TargetDataset());
+    auto score = reference ? ReferenceScore(proxy)
+                           : (*scorer)->Score(Model(), TargetDataset());
     TPS_CHECK_OK(score.status());
     benchmark::DoNotOptimize(*score);
   }
 }
-BENCHMARK_CAPTURE(BM_NceScore, Reference, kernels::KernelMode::kReference);
-BENCHMARK_CAPTURE(BM_NceScore, Batched, kernels::KernelMode::kBatched);
 
-void BM_LogMeScore(benchmark::State& state, kernels::KernelMode mode) {
-  LogMeScorer scorer(mode);
-  for (auto _ : state) {
-    auto score = scorer.Score(Model(), TargetDataset());
-    TPS_CHECK_OK(score.status());
-    benchmark::DoNotOptimize(*score);
-  }
+void BM_LeepScore(benchmark::State& state, bool reference) {
+  ProxyScoreLoop(state, "leep", reference);
 }
-BENCHMARK_CAPTURE(BM_LogMeScore, Reference, kernels::KernelMode::kReference);
-BENCHMARK_CAPTURE(BM_LogMeScore, Batched, kernels::KernelMode::kBatched);
+BENCHMARK_CAPTURE(BM_LeepScore, Reference, true);
+BENCHMARK_CAPTURE(BM_LeepScore, Batched, false);
 
-void BM_KnnScore(benchmark::State& state, kernels::KernelMode mode) {
-  KnnScorer scorer(/*k=*/5, mode);
-  for (auto _ : state) {
-    auto score = scorer.Score(Model(), TargetDataset());
-    TPS_CHECK_OK(score.status());
-    benchmark::DoNotOptimize(*score);
-  }
+void BM_NceScore(benchmark::State& state, bool reference) {
+  ProxyScoreLoop(state, "nce", reference);
 }
-BENCHMARK_CAPTURE(BM_KnnScore, Reference, kernels::KernelMode::kReference);
-BENCHMARK_CAPTURE(BM_KnnScore, Batched, kernels::KernelMode::kBatched);
+BENCHMARK_CAPTURE(BM_NceScore, Reference, true);
+BENCHMARK_CAPTURE(BM_NceScore, Batched, false);
+
+void BM_LogMeScore(benchmark::State& state, bool reference) {
+  ProxyScoreLoop(state, "logme", reference);
+}
+BENCHMARK_CAPTURE(BM_LogMeScore, Reference, true);
+BENCHMARK_CAPTURE(BM_LogMeScore, Batched, false);
+
+void BM_KnnScore(benchmark::State& state, bool reference) {
+  ProxyScoreLoop(state, "knn", reference);
+}
+BENCHMARK_CAPTURE(BM_KnnScore, Reference, true);
+BENCHMARK_CAPTURE(BM_KnnScore, Batched, false);
 
 void BM_FineTuneRun(benchmark::State& state) {
   FineTuneSimulator simulator;

@@ -63,12 +63,12 @@ StatusOr<RecallResult> CoarseRecall::Recall(const Dataset& target,
   std::vector<std::unique_ptr<ProxyScorer>> scorers;
   if (options.proxies.empty()) {
     TPS_ASSIGN_OR_RETURN(std::unique_ptr<ProxyScorer> scorer,
-                         MakeProxyScorer(options.proxy, options.kernel_mode));
+                         MakeProxyScorer(options.proxy));
     scorers.push_back(std::move(scorer));
   } else {
     for (const std::string& name : options.proxies) {
       TPS_ASSIGN_OR_RETURN(std::unique_ptr<ProxyScorer> scorer,
-                           MakeProxyScorer(name, options.kernel_mode));
+                           MakeProxyScorer(name));
       scorers.push_back(std::move(scorer));
     }
   }

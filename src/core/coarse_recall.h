@@ -15,7 +15,6 @@
 #include "index/recall_index.h"
 #include "model/zoo.h"
 #include "sim/epoch_budget.h"
-#include "transfer/kernels.h"
 #include "transfer/proxy_flight.h"
 #include "transfer/proxy_scorer.h"
 #include "transfer/score_cache.h"
@@ -98,13 +97,6 @@ struct RecallOptions {
   /// injected by the serving layer. The caller owns the backend; it must
   /// outlive the call.
   const recall::RecallBackend* backend = nullptr;
-  /// Which kernel family the proxy scorers compute with. kBatched (the
-  /// default) is the SoA vectorized hot path; kReference retains the
-  /// original scalar loops. Both are bit-identical by contract (the
-  /// differential kernel harness pins it), so this is a performance
-  /// toggle, never a results toggle — the parallel-equivalence and
-  /// metrics-inertness suites sweep it.
-  kernels::KernelMode kernel_mode = kernels::KernelMode::kBatched;
 };
 
 /// One scored model in the recall ranking.

@@ -295,43 +295,11 @@ StatusOr<Matrix> PretrainedModel::ExtractFeatures(
   return std::move(features[0]);
 }
 
-StatusOr<Matrix> PretrainedModel::ExtractFeaturesReference(
-    const Dataset& dataset) const {
-  TPS_RETURN_NOT_OK(CheckDomain(dataset));
-  const HeadParams params = ComputeHeadParams(dataset);
-  const size_t num_labels = source_prototypes_.size();
-  Matrix logits(dataset.size(), num_labels);
-  for (size_t i = 0; i < dataset.size(); ++i) {
-    const Example& ex = dataset.examples()[i];
-    const size_t routed =
-        (static_cast<size_t>(ex.label) + params.route_offset) % num_labels;
-    for (size_t z = 0; z < num_labels; ++z) {
-      logits.At(i, z) =
-          params.beta * vec::Dot(ex.features, source_prototypes_[z]) +
-          (z == routed ? params.separation : 0.0);
-    }
-  }
-  return logits;
-}
-
 StatusOr<Matrix> PretrainedModel::PredictDistributions(
     const Dataset& dataset) const {
   TPS_ASSIGN_OR_RETURN(std::vector<Matrix> predictions,
                        PredictDistributionsBatch({this}, dataset));
   return std::move(predictions[0]);
-}
-
-StatusOr<Matrix> PretrainedModel::PredictDistributionsReference(
-    const Dataset& dataset) const {
-  TPS_ASSIGN_OR_RETURN(Matrix logits, ExtractFeaturesReference(dataset));
-  Matrix predictions(logits.rows(), logits.cols());
-  for (size_t i = 0; i < logits.rows(); ++i) {
-    const std::vector<double> probs = vec::Softmax(logits.Row(i));
-    for (size_t z = 0; z < logits.cols(); ++z) {
-      predictions.At(i, z) = probs[z];
-    }
-  }
-  return predictions;
 }
 
 }  // namespace tps

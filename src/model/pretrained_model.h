@@ -57,9 +57,10 @@ class PretrainedModel {
   /// "features" consumed by feature-based proxies (LogME, kNN).
   /// PredictDistributions is the row-wise softmax of this matrix.
   ///
-  /// A batch of one on the stacked forward pass below. The *Reference
-  /// variants retain the straightforward AoS loops; both pairs are
-  /// bit-identical and the differential kernel harness pins it.
+  /// A batch of one on the stacked forward pass below. The straightforward
+  /// AoS loops it was derived from live on as a test oracle
+  /// (tests/oracles/reference_forward.h); the differential kernel harness
+  /// pins the two bit-identical.
   StatusOr<Matrix> ExtractFeatures(const Dataset& dataset) const;
 
   /// Stacked forward pass over a wave of models against one dataset:
@@ -82,16 +83,11 @@ class PretrainedModel {
       const std::vector<const PretrainedModel*>& models,
       const Dataset& dataset);
 
-  /// Reference (AoS, per-example vec::Dot) forward pass. Test-only: kept
-  /// so the kernel-equivalence suite can diff the SoA path against the
-  /// original loop structure forever.
-  StatusOr<Matrix> ExtractFeaturesReference(const Dataset& dataset) const;
-
-  /// Reference predictions: ExtractFeaturesReference + allocating per-row
-  /// softmax. Test-only counterpart of PredictDistributions.
-  StatusOr<Matrix> PredictDistributionsReference(const Dataset& dataset) const;
-
  private:
+  /// The test oracle's reference forward pass reads the prototypes, head
+  /// parameters and domain check below.
+  friend class PretrainedModelTestPeer;
+
   struct HeadParams {
     double beta = 0.0;
     double separation = 0.0;
@@ -100,8 +96,8 @@ class PretrainedModel {
 
   PretrainedModel() = default;
 
-  /// Deterministic per-(model, dataset) head parameters, shared by the SoA
-  /// and reference forward passes (identical Rng draw order).
+  /// Deterministic per-(model, dataset) head parameters, shared by the
+  /// stacked forward pass and its test oracle (identical Rng draw order).
   HeadParams ComputeHeadParams(const Dataset& dataset) const;
 
   Status CheckDomain(const Dataset& dataset) const;

@@ -1,6 +1,7 @@
 #include "serve/artifacts.h"
 
 #include <utility>
+#include <vector>
 
 #include "model/paper_zoo.h"
 #include "sim/finetune_simulator.h"
@@ -147,11 +148,25 @@ Status ServiceArtifacts::Validate() const {
         " representatives for " +
         std::to_string(clustering.clusters.num_clusters) + " clusters");
   }
-  for (size_t rep : clustering.representatives) {
-    if (rep >= zoo.size()) {
+  // Recall scores the representatives IndexFromClustering derives
+  // (highest average accuracy, first wins ties), not the stored ones, so
+  // a stored one that disagrees would be served as if it were recall's.
+  StatusOr<BruteForceRecallIndex> derived =
+      IndexFromClustering(matrix, clustering);
+  if (!derived.ok()) {
+    return Status::FailedPrecondition("clustering cannot be recalled over: " +
+                                      derived.status().message());
+  }
+  const std::vector<size_t>& picks = derived->structure().representatives;
+  for (size_t c = 0; c < picks.size(); ++c) {
+    if (clustering.representatives[c] != picks[c]) {
       return Status::FailedPrecondition(
-          "clustering representative index " + std::to_string(rep) +
-          " is outside the zoo");
+          "cluster " + std::to_string(c) + " stores representative " +
+          std::to_string(clustering.representatives[c]) +
+          (picks[c] == IndexStructure::kNoSlot
+               ? " but has no members"
+               : " but its highest-average-accuracy member is " +
+                     std::to_string(picks[c])));
     }
   }
   if (index != nullptr && index->num_models() != zoo.size()) {

@@ -66,7 +66,9 @@ struct ServiceArtifacts {
   Status AttachEmbeddings(recall::RecallEmbeddings trained);
 
   /// Internal-consistency check run before artifacts are served: the
-  /// matrix and clustering must cover exactly this zoo. Load() runs it on
+  /// matrix and clustering must cover exactly this zoo, and each cluster's
+  /// representative must be its highest-average-accuracy member (first
+  /// wins ties), the one recall scores. Load() runs it on
   /// every load; SelectionService::Reload runs it again before publishing,
   /// so a bad artifact file can never replace a good serving version.
   Status Validate() const;

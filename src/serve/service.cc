@@ -215,7 +215,6 @@ SelectionResponse SelectionService::Run(const SelectionRequest& request,
     options.recall.proxies = request.proxies;
     options.recall.score_cache = cache_.get();
     options.recall.flight_group = flight_.get();
-    options.recall.kernel_mode = options_.kernel_mode;
     // Cache/flight entries are tagged with the snapshot's version, so two
     // versions never exchange scores — even for requests racing a swap.
     options.recall.artifact_epoch = snapshot.version;

@@ -19,7 +19,6 @@
 #include "serve/artifact_slot.h"
 #include "serve/artifacts.h"
 #include "sim/finetune_simulator.h"
-#include "transfer/kernels.h"
 #include "transfer/proxy_flight.h"
 #include "transfer/score_cache.h"
 #include "util/metrics.h"
@@ -54,10 +53,6 @@ struct ServiceOptions {
   /// to independent computation — tests/serve/coalescing_test.cc — so this
   /// only changes cost, never answers.
   bool coalesce_proxies = true;
-  /// Kernel family for the proxy hot path (forwarded to
-  /// RecallOptions::kernel_mode). kBatched = SoA vectorized kernels;
-  /// kReference = original scalar loops. Bit-identical by contract.
-  kernels::KernelMode kernel_mode = kernels::KernelMode::kBatched;
   /// Metrics sink; nullptr -> MetricsRegistry::Default().
   MetricsRegistry* metrics = nullptr;
   /// Test-only hook: invoked by a worker thread immediately before it

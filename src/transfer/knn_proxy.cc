@@ -8,7 +8,7 @@ namespace tps {
 
 StatusOr<double> KnnLeaveOneOutAccuracy(const Matrix& features,
                                         const std::vector<int>& labels,
-                                        int k, kernels::KernelMode mode) {
+                                        int k) {
   const size_t n = features.rows();
   if (n < 2) {
     return Status::InvalidArgument("kNN needs at least 2 examples");
@@ -20,15 +20,13 @@ StatusOr<double> KnnLeaveOneOutAccuracy(const Matrix& features,
     return Status::InvalidArgument("kNN needs k >= 1");
   }
   const size_t kk = std::min<size_t>(static_cast<size_t>(k), n - 1);
-  return mode == kernels::KernelMode::kBatched
-             ? kernels::KnnBatched(features, labels, kk)
-             : kernels::KnnReference(features, labels, kk);
+  return kernels::KnnBatched(features, labels, kk);
 }
 
 StatusOr<double> KnnScorer::Score(const PretrainedModel& model,
                                   const Dataset& target) const {
   TPS_ASSIGN_OR_RETURN(Matrix features, model.ExtractFeatures(target));
-  return KnnLeaveOneOutAccuracy(features, TargetLabels(target), k_, mode_);
+  return KnnLeaveOneOutAccuracy(features, TargetLabels(target), k_);
 }
 
 StatusOr<std::vector<double>> KnnScorer::ScoreBatch(
@@ -37,7 +35,7 @@ StatusOr<std::vector<double>> KnnScorer::ScoreBatch(
   return ScoreStacked(
       models, target, /*softmax=*/false,
       [&](const Matrix& features, const std::vector<int>& labels) {
-        return KnnLeaveOneOutAccuracy(features, labels, k_, mode_);
+        return KnnLeaveOneOutAccuracy(features, labels, k_);
       });
 }
 

@@ -5,7 +5,6 @@
 #include <vector>
 
 #include "matrix/matrix.h"
-#include "transfer/kernels.h"
 #include "transfer/proxy_scorer.h"
 #include "util/statusor.h"
 
@@ -15,18 +14,15 @@ namespace tps {
 /// classification accuracy over the model's features on the target dataset.
 /// Approximates post-fine-tuning accuracy directly; in [0, 1], higher is
 /// better. More faithful than LEEP but needs the pairwise distance pass the
-/// paper calls out as "extra training". `mode` picks the kernel family
-/// (bit-identical; see kernels.h).
-StatusOr<double> KnnLeaveOneOutAccuracy(
-    const Matrix& features, const std::vector<int>& labels, int k,
-    kernels::KernelMode mode = kernels::KernelMode::kBatched);
+/// paper calls out as "extra training".
+StatusOr<double> KnnLeaveOneOutAccuracy(const Matrix& features,
+                                        const std::vector<int>& labels,
+                                        int k);
 
 /// ProxyScorer adapter over the simulated penultimate-layer features.
 class KnnScorer : public ProxyScorer {
  public:
-  explicit KnnScorer(
-      int k = 5, kernels::KernelMode mode = kernels::KernelMode::kBatched)
-      : k_(k), mode_(mode) {}
+  explicit KnnScorer(int k = 5) : k_(k) {}
   std::string name() const override { return "knn"; }
   StatusOr<double> Score(const PretrainedModel& model,
                          const Dataset& target) const override;
@@ -36,7 +32,6 @@ class KnnScorer : public ProxyScorer {
 
  private:
   int k_;
-  kernels::KernelMode mode_;
 };
 
 }  // namespace tps

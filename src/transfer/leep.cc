@@ -6,8 +6,7 @@ namespace tps {
 
 StatusOr<double> LeepFromPredictions(const Matrix& predictions,
                                      const std::vector<int>& labels,
-                                     int num_target_labels,
-                                     kernels::KernelMode mode) {
+                                     int num_target_labels) {
   const size_t n = predictions.rows();
   const size_t num_source = predictions.cols();
   if (n == 0 || num_source == 0) {
@@ -25,9 +24,7 @@ StatusOr<double> LeepFromPredictions(const Matrix& predictions,
     }
   }
   const size_t num_target = static_cast<size_t>(num_target_labels);
-  return mode == kernels::KernelMode::kBatched
-             ? kernels::LeepBatched(predictions, labels, num_target)
-             : kernels::LeepReference(predictions, labels, num_target);
+  return kernels::LeepBatched(predictions, labels, num_target);
 }
 
 StatusOr<double> LeepScorer::Score(const PretrainedModel& model,
@@ -35,7 +32,7 @@ StatusOr<double> LeepScorer::Score(const PretrainedModel& model,
   TPS_ASSIGN_OR_RETURN(Matrix predictions,
                        model.PredictDistributions(target));
   return LeepFromPredictions(predictions, TargetLabels(target),
-                             target.spec().num_labels, mode_);
+                             target.spec().num_labels);
 }
 
 StatusOr<std::vector<double>> LeepScorer::ScoreBatch(
@@ -45,7 +42,7 @@ StatusOr<std::vector<double>> LeepScorer::ScoreBatch(
       models, target, /*softmax=*/true,
       [&](const Matrix& predictions, const std::vector<int>& labels) {
         return LeepFromPredictions(predictions, labels,
-                                   target.spec().num_labels, mode_);
+                                   target.spec().num_labels);
       });
 }
 

@@ -5,7 +5,6 @@
 #include <vector>
 
 #include "matrix/matrix.h"
-#include "transfer/kernels.h"
 #include "transfer/proxy_scorer.h"
 #include "util/statusor.h"
 
@@ -20,29 +19,21 @@ namespace tps {
 ///
 /// `predictions` is row-stochastic (n examples x Z source labels); `labels`
 /// holds target labels in [0, num_target_labels). Returns a value in
-/// (-inf, 0]; higher means better transferability. `mode` picks the kernel
-/// family (bit-identical; see kernels.h).
-StatusOr<double> LeepFromPredictions(
-    const Matrix& predictions, const std::vector<int>& labels,
-    int num_target_labels,
-    kernels::KernelMode mode = kernels::KernelMode::kBatched);
+/// (-inf, 0]; higher means better transferability.
+StatusOr<double> LeepFromPredictions(const Matrix& predictions,
+                                     const std::vector<int>& labels,
+                                     int num_target_labels);
 
 /// ProxyScorer adapter: obtains the model's predictive distributions on the
 /// target via the simulated head and applies LEEP.
 class LeepScorer : public ProxyScorer {
  public:
-  explicit LeepScorer(
-      kernels::KernelMode mode = kernels::KernelMode::kBatched)
-      : mode_(mode) {}
   std::string name() const override { return "leep"; }
   StatusOr<double> Score(const PretrainedModel& model,
                          const Dataset& target) const override;
   StatusOr<std::vector<double>> ScoreBatch(
       const std::vector<const PretrainedModel*>& models,
       const Dataset& target) const override;
-
- private:
-  kernels::KernelMode mode_;
 };
 
 }  // namespace tps

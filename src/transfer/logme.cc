@@ -6,8 +6,7 @@ namespace tps {
 
 StatusOr<double> LogMeFromFeatures(const Matrix& features,
                                    const std::vector<int>& labels,
-                                   int num_target_labels,
-                                   kernels::KernelMode mode) {
+                                   int num_target_labels) {
   const size_t n = features.rows();
   const size_t dims = features.cols();
   if (n == 0 || dims == 0) {
@@ -25,16 +24,14 @@ StatusOr<double> LogMeFromFeatures(const Matrix& features,
     }
   }
   const size_t num_target = static_cast<size_t>(num_target_labels);
-  return mode == kernels::KernelMode::kBatched
-             ? kernels::LogMeBatched(features, labels, num_target)
-             : kernels::LogMeReference(features, labels, num_target);
+  return kernels::LogMeBatched(features, labels, num_target);
 }
 
 StatusOr<double> LogMeScorer::Score(const PretrainedModel& model,
                                     const Dataset& target) const {
   TPS_ASSIGN_OR_RETURN(Matrix features, model.ExtractFeatures(target));
   return LogMeFromFeatures(features, TargetLabels(target),
-                           target.spec().num_labels, mode_);
+                           target.spec().num_labels);
 }
 
 StatusOr<std::vector<double>> LogMeScorer::ScoreBatch(
@@ -44,7 +41,7 @@ StatusOr<std::vector<double>> LogMeScorer::ScoreBatch(
       models, target, /*softmax=*/false,
       [&](const Matrix& features, const std::vector<int>& labels) {
         return LogMeFromFeatures(features, labels,
-                                 target.spec().num_labels, mode_);
+                                 target.spec().num_labels);
       });
 }
 

@@ -5,7 +5,6 @@
 #include <vector>
 
 #include "matrix/matrix.h"
-#include "transfer/kernels.h"
 #include "transfer/proxy_scorer.h"
 #include "util/statusor.h"
 
@@ -18,28 +17,20 @@ namespace tps {
 /// Higher is better.
 ///
 /// `features` is n examples x D dimensions; `labels` in
-/// [0, num_target_labels). `mode` picks the kernel family (bit-identical;
-/// see kernels.h).
-StatusOr<double> LogMeFromFeatures(
-    const Matrix& features, const std::vector<int>& labels,
-    int num_target_labels,
-    kernels::KernelMode mode = kernels::KernelMode::kBatched);
+/// [0, num_target_labels).
+StatusOr<double> LogMeFromFeatures(const Matrix& features,
+                                   const std::vector<int>& labels,
+                                   int num_target_labels);
 
 /// ProxyScorer adapter over the simulated penultimate-layer features.
 class LogMeScorer : public ProxyScorer {
  public:
-  explicit LogMeScorer(
-      kernels::KernelMode mode = kernels::KernelMode::kBatched)
-      : mode_(mode) {}
   std::string name() const override { return "logme"; }
   StatusOr<double> Score(const PretrainedModel& model,
                          const Dataset& target) const override;
   StatusOr<std::vector<double>> ScoreBatch(
       const std::vector<const PretrainedModel*>& models,
       const Dataset& target) const override;
-
- private:
-  kernels::KernelMode mode_;
 };
 
 }  // namespace tps

@@ -51,18 +51,18 @@ StatusOr<std::vector<double>> ScoreStacked(
 }
 
 StatusOr<std::unique_ptr<ProxyScorer>> MakeProxyScorer(
-    const std::string& name, kernels::KernelMode mode) {
+    const std::string& name) {
   if (name == "leep") {
-    return std::unique_ptr<ProxyScorer>(new LeepScorer(mode));
+    return std::unique_ptr<ProxyScorer>(new LeepScorer());
   }
   if (name == "nce") {
-    return std::unique_ptr<ProxyScorer>(new NceScorer(mode));
+    return std::unique_ptr<ProxyScorer>(new NceScorer());
   }
   if (name == "logme") {
-    return std::unique_ptr<ProxyScorer>(new LogMeScorer(mode));
+    return std::unique_ptr<ProxyScorer>(new LogMeScorer());
   }
   if (name == "knn") {
-    return std::unique_ptr<ProxyScorer>(new KnnScorer(/*k=*/5, mode));
+    return std::unique_ptr<ProxyScorer>(new KnnScorer(/*k=*/5));
   }
   return Status::InvalidArgument("unknown proxy scorer: " + name);
 }

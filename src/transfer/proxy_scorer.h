@@ -8,7 +8,6 @@
 
 #include "data/dataset.h"
 #include "model/pretrained_model.h"
-#include "transfer/kernels.h"
 #include "util/statusor.h"
 
 namespace tps {
@@ -56,13 +55,10 @@ StatusOr<std::vector<double>> ScoreStacked(
     const std::function<StatusOr<double>(const Matrix&,
                                          const std::vector<int>&)>& score);
 
-/// Constructs a scorer by name; InvalidArgument for unknown names. `mode`
-/// selects the kernel family every score is computed with (bit-identical
-/// by contract; kReference retains the scalar loops for the differential
-/// harness).
+/// Constructs a scorer by name; InvalidArgument for unknown names. Every
+/// score runs on the batched kernels (transfer/kernels.h).
 StatusOr<std::unique_ptr<ProxyScorer>> MakeProxyScorer(
-    const std::string& name,
-    kernels::KernelMode mode = kernels::KernelMode::kBatched);
+    const std::string& name);
 
 /// Min-max normalizes scores to [0, 1] (the paper normalizes LEEP before
 /// combining it with the prior accuracy in the recall score). A constant

@@ -362,38 +362,24 @@ TEST_P(ParallelEquivalenceTest, MetricsAndTraceOnStaysBitIdentical) {
 }
 
 TEST_P(ParallelEquivalenceTest, KernelModeSweepStaysBitIdentical) {
-  // The batched SoA kernels (RecallOptions::kernel_mode) are a performance
-  // toggle, never a results toggle: reference-serial, batched-serial,
-  // batched-parallel and reference-parallel must all produce the same
+  // The batched SoA kernels are the library's one kernel family (the
+  // scalar oracles are pinned against them in kernel_equivalence_test):
+  // the serial run and parallel runs over them must produce the same
   // TwoPhaseReport bit for bit.
   const RandomConfig config = MakeRandomConfig(GetParam());
   FineTuneSimulator simulator;
   TwoPhaseSelector selector(&config.zoo, &config.matrix, &config.clustering,
                             &simulator);
 
-  TwoPhaseOptions reference_options = config.options;
-  reference_options.recall.kernel_mode = kernels::KernelMode::kReference;
-  TwoPhaseOptions batched_options = config.options;
-  batched_options.recall.kernel_mode = kernels::KernelMode::kBatched;
-
   const TwoPhaseReport baseline =
-      *selector.Select(config.target, reference_options, config.hp, nullptr);
-  const TwoPhaseReport batched_serial =
-      *selector.Select(config.target, batched_options, config.hp, nullptr);
-  ExpectBitIdentical(baseline, batched_serial,
-                     "batched serial, config " + std::to_string(GetParam()));
+      *selector.Select(config.target, config.options, config.hp, nullptr);
 
   for (int threads : {2, 7}) {
     ThreadPool pool(threads);
     const TwoPhaseReport batched_parallel =
-        *selector.Select(config.target, batched_options, config.hp, &pool);
+        *selector.Select(config.target, config.options, config.hp, &pool);
     ExpectBitIdentical(baseline, batched_parallel,
                        "batched, config " + std::to_string(GetParam()) +
-                           ", " + std::to_string(threads) + " threads");
-    const TwoPhaseReport reference_parallel =
-        *selector.Select(config.target, reference_options, config.hp, &pool);
-    ExpectBitIdentical(baseline, reference_parallel,
-                       "reference, config " + std::to_string(GetParam()) +
                            ", " + std::to_string(threads) + " threads");
   }
 }

@@ -207,6 +207,28 @@ TEST_F(HotSwapTest, ReloadValidatesBeforePublishing) {
   const Status status = service.Reload(std::move(bad));
   EXPECT_TRUE(status.IsFailedPrecondition()) << status.ToString();
 
+  // Wrong representative: one cluster's representative swapped for a
+  // lower-accuracy member of the same cluster. Recall would re-derive the
+  // rule's pick, so the stored one must be refused, not served silently.
+  ServiceArtifacts demoted = Base();
+  bool swapped = false;
+  for (size_t c = 0; c < demoted.clustering.representatives.size() && !swapped;
+       ++c) {
+    const size_t rep = demoted.clustering.representatives[c];
+    for (size_t m : demoted.clustering.clusters.Members(static_cast<int>(c))) {
+      if (demoted.matrix.ModelAverageAccuracy(m) <
+          demoted.matrix.ModelAverageAccuracy(rep)) {
+        demoted.clustering.representatives[c] = m;
+        swapped = true;
+        break;
+      }
+    }
+  }
+  ASSERT_TRUE(swapped) << "base clustering has no multi-accuracy cluster";
+  const Status demoted_status = service.Reload(std::move(demoted));
+  EXPECT_TRUE(demoted_status.IsFailedPrecondition())
+      << demoted_status.ToString();
+
   // Nothing was published: still version 1, still serving base answers.
   EXPECT_EQ(service.artifact_version(), 1u);
   EXPECT_EQ(service.Stats().reloads, 0u);

@@ -1,12 +1,14 @@
 // Differential kernel harness: every vectorized (SoA / batched) kernel on
-// the proxy-scoring hot path is pitted against the retained reference
-// implementation over randomized shapes and adversarial edge cases, and
-// the results must be BIT-IDENTICAL (EXPECT_EQ on doubles, not NEAR).
-// This is the contract that lets the batched kernels ship as the default
-// without touching a single golden snapshot. Runs the comparisons serially
-// and under a ThreadPool (the `kernels` label joins the sanitizer matrix,
-// so TSan sweeps the concurrent section).
+// the proxy-scoring hot path, and the stacked forward pass, is pitted
+// against the scalar test oracle it was derived from (tests/oracles/) over
+// randomized shapes, adversarial edge cases and every model of both paper
+// zoos, and the results must be BIT-IDENTICAL (EXPECT_EQ on doubles, not
+// NEAR). This is the contract that lets the batched kernels be the only
+// ones in the library without touching a single golden snapshot. Runs the
+// comparisons serially and under a ThreadPool (the `kernels` label joins
+// the sanitizer matrix, so TSan sweeps the concurrent section).
 
+#include <algorithm>
 #include <cmath>
 #include <limits>
 #include <string>
@@ -16,10 +18,14 @@
 
 #include "clustering/distance.h"
 #include "data/dataset.h"
+#include "data/registry.h"
 #include "matrix/matrix.h"
 #include "matrix/vector_ops.h"
+#include "model/paper_zoo.h"
 #include "model/pretrained_model.h"
-#include "transfer/kernels.h"
+#include "model/zoo.h"
+#include "tests/oracles/reference_forward.h"
+#include "tests/oracles/reference_kernels.h"
 #include "transfer/knn_proxy.h"
 #include "transfer/leep.h"
 #include "transfer/logme.h"
@@ -45,8 +51,7 @@ struct ProxyInputs {
 /// below 1 (denormal-adjacent), stressing the accumulation-order proofs
 /// exactly where floating point is least forgiving. Degenerate shapes
 /// (n == 0, Z == 1, num_target == 1) are legal inputs here; the wrappers
-/// decide what is an error, and the harness asserts BOTH kernel modes
-/// agree on that too.
+/// decide what is an error, and the oracle runs on what they accept.
 ProxyInputs MakeInputs(Rng& rng, size_t n, size_t z, int num_target,
                        double logit_scale) {
   ProxyInputs inputs;
@@ -87,18 +92,90 @@ const std::vector<Shape>& Shapes() {
   return *shapes;
 }
 
-/// Both kernel modes must produce the same ok-bit, the same status code on
-/// error, and bit-identical values on success.
-template <typename Fn>
-void ExpectModesAgree(Fn&& run, const std::string& what) {
-  const StatusOr<double> reference = run(kernels::KernelMode::kReference);
-  const StatusOr<double> batched = run(kernels::KernelMode::kBatched);
-  ASSERT_EQ(reference.ok(), batched.ok()) << what;
-  if (reference.ok()) {
-    EXPECT_EQ(*reference, *batched) << what;
-  } else {
-    EXPECT_EQ(reference.status().code(), batched.status().code()) << what;
+/// Production against oracle. The validating wrapper (`production`) is
+/// the only validation path, so the oracle kernel runs on exactly the
+/// inputs the wrapper accepts, and must then give the same ok-bit, the
+/// same status code on error, and bit-identical values on success. A
+/// rejection is a wrapper error, and every wrapper error message starts
+/// with the proxy's name ("LogME needs ..."). Any other error came from
+/// the kernel itself (only LogME's Gram eigendecomposition can fail), so
+/// for LogME the kernel-level Status is compared too.
+template <typename Oracle>
+void ExpectMatchesOracle(const std::string& proxy,
+                         const StatusOr<double>& production, Oracle&& oracle,
+                         const std::string& what) {
+  if (!production.ok() &&
+      production.status().message().rfind(proxy + " ", 0) == 0) {
+    return;  // Rejected by the wrapper: nothing for the oracle to compute.
   }
+  const StatusOr<double> expected = oracle();
+  ASSERT_EQ(production.ok(), expected.ok()) << what;
+  if (production.ok()) {
+    EXPECT_EQ(*production, *expected) << what;
+  } else {
+    EXPECT_EQ(production.status().code(), expected.status().code()) << what;
+  }
+}
+
+// The oracle side of each wrapper: the reference kernel on the arguments
+// the wrapper hands its production kernel.
+
+StatusOr<double> LeepOracle(const Matrix& predictions,
+                            const std::vector<int>& labels, int num_target) {
+  return kernels::LeepReference(predictions, labels,
+                                static_cast<size_t>(num_target));
+}
+
+StatusOr<double> NceOracle(const Matrix& predictions,
+                           const std::vector<int>& labels, int num_target) {
+  return kernels::NceReference(predictions, labels,
+                               static_cast<size_t>(num_target));
+}
+
+StatusOr<double> LogMeOracle(const Matrix& features,
+                             const std::vector<int>& labels, int num_target) {
+  return kernels::LogMeReference(features, labels,
+                                 static_cast<size_t>(num_target));
+}
+
+/// `k` clamped to [1, n - 1] as KnnLeaveOneOutAccuracy does.
+StatusOr<double> KnnOracle(const Matrix& features,
+                           const std::vector<int>& labels, int k) {
+  return kernels::KnnReference(
+      features, labels,
+      std::min<size_t>(static_cast<size_t>(k), features.rows() - 1));
+}
+
+void ExpectLeepMatchesOracle(const Matrix& predictions,
+                             const std::vector<int>& labels, int num_target,
+                             const std::string& what) {
+  ExpectMatchesOracle(
+      "LEEP", LeepFromPredictions(predictions, labels, num_target),
+      [&] { return LeepOracle(predictions, labels, num_target); }, what);
+}
+
+void ExpectNceMatchesOracle(const Matrix& predictions,
+                            const std::vector<int>& labels, int num_target,
+                            const std::string& what) {
+  ExpectMatchesOracle(
+      "NCE", NceFromPredictions(predictions, labels, num_target),
+      [&] { return NceOracle(predictions, labels, num_target); }, what);
+}
+
+void ExpectLogMeMatchesOracle(const Matrix& features,
+                              const std::vector<int>& labels, int num_target,
+                              const std::string& what) {
+  ExpectMatchesOracle(
+      "LogME", LogMeFromFeatures(features, labels, num_target),
+      [&] { return LogMeOracle(features, labels, num_target); }, what);
+}
+
+void ExpectKnnMatchesOracle(const Matrix& features,
+                            const std::vector<int>& labels, int k,
+                            const std::string& what) {
+  ExpectMatchesOracle(
+      "kNN", KnnLeaveOneOutAccuracy(features, labels, k),
+      [&] { return KnnOracle(features, labels, k); }, what);
 }
 
 std::string ShapeName(const Shape& shape, double scale, uint64_t seed) {
@@ -118,12 +195,8 @@ TEST_P(KernelEquivalenceTest, LeepBatchedIsBitIdentical) {
       Rng rng(seed * 7919 + shape.n);
       const ProxyInputs in =
           MakeInputs(rng, shape.n, shape.z, shape.num_target, scale);
-      ExpectModesAgree(
-          [&](kernels::KernelMode mode) {
-            return LeepFromPredictions(in.predictions, in.labels,
-                                       in.num_target, mode);
-          },
-          "LEEP " + ShapeName(shape, scale, seed));
+      ExpectLeepMatchesOracle(in.predictions, in.labels, in.num_target,
+                              "LEEP " + ShapeName(shape, scale, seed));
     }
   }
 }
@@ -135,12 +208,8 @@ TEST_P(KernelEquivalenceTest, NceBatchedIsBitIdentical) {
       Rng rng(seed * 104729 + shape.z);
       const ProxyInputs in =
           MakeInputs(rng, shape.n, shape.z, shape.num_target, scale);
-      ExpectModesAgree(
-          [&](kernels::KernelMode mode) {
-            return NceFromPredictions(in.predictions, in.labels,
-                                      in.num_target, mode);
-          },
-          "NCE " + ShapeName(shape, scale, seed));
+      ExpectNceMatchesOracle(in.predictions, in.labels, in.num_target,
+                             "NCE " + ShapeName(shape, scale, seed));
     }
   }
 }
@@ -152,12 +221,8 @@ TEST_P(KernelEquivalenceTest, LogMeBatchedIsBitIdentical) {
       Rng rng(seed * 1299709 + shape.n * 31 + shape.z);
       const ProxyInputs in =
           MakeInputs(rng, shape.n, shape.z, shape.num_target, scale);
-      ExpectModesAgree(
-          [&](kernels::KernelMode mode) {
-            return LogMeFromFeatures(in.features, in.labels, in.num_target,
-                                     mode);
-          },
-          "LogME " + ShapeName(shape, scale, seed));
+      ExpectLogMeMatchesOracle(in.features, in.labels, in.num_target,
+                               "LogME " + ShapeName(shape, scale, seed));
     }
   }
 }
@@ -170,12 +235,9 @@ TEST_P(KernelEquivalenceTest, KnnBatchedIsBitIdentical) {
         Rng rng(seed * 15485863 + shape.n + static_cast<uint64_t>(k));
         const ProxyInputs in =
             MakeInputs(rng, shape.n, shape.z, shape.num_target, scale);
-        ExpectModesAgree(
-            [&](kernels::KernelMode mode) {
-              return KnnLeaveOneOutAccuracy(in.features, in.labels, k, mode);
-            },
-            "kNN k=" + std::to_string(k) + " " +
-                ShapeName(shape, scale, seed));
+        ExpectKnnMatchesOracle(in.features, in.labels, k,
+                               "kNN k=" + std::to_string(k) + " " +
+                                   ShapeName(shape, scale, seed));
       }
     }
   }
@@ -192,8 +254,8 @@ TEST(KernelEquivalenceEdgeTest, DegenerateInputsFailIdenticallyInBothModes) {
   Rng rng(42);
   // Empty batch.
   const ProxyInputs empty = MakeInputs(rng, 0, 3, 2, 2.0);
-  // Target class count of 1 (LEEP/NCE reject; the harness only demands
-  // both modes agree).
+  // Target class count of 1 (LEEP/NCE/LogME reject; kNN accepts and the
+  // oracle must agree).
   const ProxyInputs one_class = MakeInputs(rng, 8, 3, 1, 2.0);
   // Single example (kNN needs a neighbour).
   const ProxyInputs lonely = MakeInputs(rng, 1, 3, 2, 2.0);
@@ -205,29 +267,13 @@ TEST(KernelEquivalenceEdgeTest, DegenerateInputsFailIdenticallyInBothModes) {
   }();
 
   for (const ProxyInputs* in : {&empty, &one_class, &lonely, &ragged}) {
-    ExpectModesAgree(
-        [&](kernels::KernelMode mode) {
-          return LeepFromPredictions(in->predictions, in->labels,
-                                     in->num_target, mode);
-        },
-        "LEEP edge");
-    ExpectModesAgree(
-        [&](kernels::KernelMode mode) {
-          return NceFromPredictions(in->predictions, in->labels,
-                                    in->num_target, mode);
-        },
-        "NCE edge");
-    ExpectModesAgree(
-        [&](kernels::KernelMode mode) {
-          return LogMeFromFeatures(in->features, in->labels, in->num_target,
-                                   mode);
-        },
-        "LogME edge");
-    ExpectModesAgree(
-        [&](kernels::KernelMode mode) {
-          return KnnLeaveOneOutAccuracy(in->features, in->labels, 3, mode);
-        },
-        "kNN edge");
+    ExpectLeepMatchesOracle(in->predictions, in->labels, in->num_target,
+                            "LEEP edge");
+    ExpectNceMatchesOracle(in->predictions, in->labels, in->num_target,
+                           "NCE edge");
+    ExpectLogMeMatchesOracle(in->features, in->labels, in->num_target,
+                             "LogME edge");
+    ExpectKnnMatchesOracle(in->features, in->labels, 3, "kNN edge");
   }
 }
 
@@ -241,21 +287,9 @@ TEST(KernelEquivalenceEdgeTest, TiedAndDuplicateRowsAgree) {
                                         {0.4, 0.4, 0.1, 0.1},
                                         {0.1, 0.4, 0.4, 0.1}});
   const std::vector<int> labels = {0, 1, 0, 1, 1};
-  ExpectModesAgree(
-      [&](kernels::KernelMode mode) {
-        return NceFromPredictions(predictions, labels, 2, mode);
-      },
-      "NCE ties");
-  ExpectModesAgree(
-      [&](kernels::KernelMode mode) {
-        return LeepFromPredictions(predictions, labels, 2, mode);
-      },
-      "LEEP ties");
-  ExpectModesAgree(
-      [&](kernels::KernelMode mode) {
-        return KnnLeaveOneOutAccuracy(predictions, labels, 2, mode);
-      },
-      "kNN duplicate rows");
+  ExpectNceMatchesOracle(predictions, labels, 2, "NCE ties");
+  ExpectLeepMatchesOracle(predictions, labels, 2, "LEEP ties");
+  ExpectKnnMatchesOracle(predictions, labels, 2, "kNN duplicate rows");
 }
 
 // --- Forward-pass (SoA) and vector-helper pairs -----------------------------
@@ -297,13 +331,16 @@ TEST(ForwardPassEquivalenceTest, SoAForwardPassMatchesReference) {
       ASSERT_TRUE(model.ok());
 
       auto features = model->ExtractFeatures(*target);
-      auto features_ref = model->ExtractFeaturesReference(*target);
+      auto features_ref =
+          PretrainedModelTestPeer::ExtractFeaturesReference(*model, *target);
       ASSERT_TRUE(features.ok());
       ASSERT_TRUE(features_ref.ok());
       ExpectMatricesBitIdentical(*features, *features_ref);
 
       auto predictions = model->PredictDistributions(*target);
-      auto predictions_ref = model->PredictDistributionsReference(*target);
+      auto predictions_ref =
+          PretrainedModelTestPeer::PredictDistributionsReference(*model,
+                                                                 *target);
       ASSERT_TRUE(predictions.ok());
       ASSERT_TRUE(predictions_ref.ok());
       ExpectMatricesBitIdentical(*predictions, *predictions_ref);
@@ -374,8 +411,11 @@ TEST(StackedForwardPassTest, MatchesPerModelReferenceOverMixedWave) {
                        k < predictions->size();
          ++k) {
       SCOPED_TRACE("n=" + std::to_string(n) + " model " + std::to_string(k));
-      auto features_ref = wave[k]->ExtractFeaturesReference(*target);
-      auto predictions_ref = wave[k]->PredictDistributionsReference(*target);
+      auto features_ref =
+          PretrainedModelTestPeer::ExtractFeaturesReference(*wave[k], *target);
+      auto predictions_ref =
+          PretrainedModelTestPeer::PredictDistributionsReference(*wave[k],
+                                                                 *target);
       ASSERT_TRUE(features_ref.ok());
       ASSERT_TRUE(predictions_ref.ok());
       ExpectMatricesBitIdentical((*features)[k], *features_ref);
@@ -392,7 +432,8 @@ TEST(StackedForwardPassTest, OneModelAndEmptyWaves) {
   for (const PretrainedModel& model : models) {
     auto stacked =
         PretrainedModel::PredictDistributionsBatch({&model}, *target);
-    auto reference = model.PredictDistributionsReference(*target);
+    auto reference =
+        PretrainedModelTestPeer::PredictDistributionsReference(model, *target);
     ASSERT_TRUE(stacked.ok());
     ASSERT_TRUE(reference.ok());
     EXPECT_EQ(stacked->size(), 1u);
@@ -424,7 +465,10 @@ TEST(StackedForwardPassTest, WrongDomainModelFailsLikeThePerModelCall) {
   ASSERT_TRUE(target.ok());
   const Status expected = wave[2]->ExtractFeatures(*target).status();
   EXPECT_EQ(expected.code(), StatusCode::kInvalidArgument);
-  EXPECT_EQ(wave[2]->PredictDistributionsReference(*target).status().code(),
+  EXPECT_EQ(PretrainedModelTestPeer::PredictDistributionsReference(*wave[2],
+                                                                   *target)
+                .status()
+                .code(),
             expected.code());
   for (bool softmax : {false, true}) {
     auto stacked =
@@ -450,37 +494,33 @@ TEST(StackedForwardPassTest, EveryScorerBatchMatchesItsScoreLoop) {
     auto target = MakeTarget(3, n);
     ASSERT_TRUE(target.ok());
     for (const char* name : {"leep", "nce", "logme", "knn"}) {
-      for (kernels::KernelMode mode : {kernels::KernelMode::kReference,
-                                       kernels::KernelMode::kBatched}) {
-        SCOPED_TRACE(std::string(name) + " n=" + std::to_string(n) +
-                     " mode " + kernels::ToString(mode));
-        auto scorer = MakeProxyScorer(name, mode);
-        ASSERT_TRUE(scorer.ok());
-        // ScoreBatch is defined as the Score loop, stopping at the first
-        // failing model: same scores, or the same error.
-        for (const std::vector<const PretrainedModel*>* models :
-             {&wave, &mixed}) {
-          std::vector<double> loop;
-          Status loop_error;
-          for (const PretrainedModel* model : *models) {
-            auto single = (*scorer)->Score(*model, *target);
-            if (!single.ok()) {
-              loop_error = single.status();
-              break;
-            }
-            loop.push_back(*single);
+      SCOPED_TRACE(std::string(name) + " n=" + std::to_string(n));
+      auto scorer = MakeProxyScorer(name);
+      ASSERT_TRUE(scorer.ok());
+      // ScoreBatch is defined as the Score loop, stopping at the first
+      // failing model: same scores, or the same error.
+      for (const std::vector<const PretrainedModel*>* models :
+           {&wave, &mixed}) {
+        std::vector<double> loop;
+        Status loop_error;
+        for (const PretrainedModel* model : *models) {
+          auto single = (*scorer)->Score(*model, *target);
+          if (!single.ok()) {
+            loop_error = single.status();
+            break;
           }
-          auto batch = (*scorer)->ScoreBatch(*models, *target);
-          EXPECT_EQ(batch.ok(), loop_error.ok());
-          if (batch.ok()) {
-            EXPECT_EQ(*batch, loop);
-          } else {
-            EXPECT_EQ(batch.status().code(), loop_error.code());
-            EXPECT_EQ(batch.status().message(), loop_error.message());
-          }
+          loop.push_back(*single);
         }
-        EXPECT_FALSE((*scorer)->ScoreBatch(mixed, *target).ok());
+        auto batch = (*scorer)->ScoreBatch(*models, *target);
+        EXPECT_EQ(batch.ok(), loop_error.ok());
+        if (batch.ok()) {
+          EXPECT_EQ(*batch, loop);
+        } else {
+          EXPECT_EQ(batch.status().code(), loop_error.code());
+          EXPECT_EQ(batch.status().message(), loop_error.message());
+        }
       }
+      EXPECT_FALSE((*scorer)->ScoreBatch(mixed, *target).ok());
     }
   }
 }
@@ -540,19 +580,86 @@ TEST(ScoreBatchEquivalenceTest, ScoreBatchMatchesScoreLoop) {
   for (const PretrainedModel& m : models) pointers.push_back(&m);
 
   for (const char* name : {"leep", "nce", "logme", "knn"}) {
-    for (kernels::KernelMode mode :
-         {kernels::KernelMode::kReference, kernels::KernelMode::kBatched}) {
-      auto scorer = MakeProxyScorer(name, mode);
-      ASSERT_TRUE(scorer.ok());
-      auto batch = (*scorer)->ScoreBatch(pointers, *target);
-      ASSERT_TRUE(batch.ok()) << name;
-      ASSERT_EQ(batch->size(), pointers.size());
-      for (size_t i = 0; i < pointers.size(); ++i) {
-        auto single = (*scorer)->Score(*pointers[i], *target);
-        ASSERT_TRUE(single.ok()) << name;
-        EXPECT_EQ((*batch)[i], *single)
-            << name << " model " << i << " mode "
-            << kernels::ToString(mode);
+    auto scorer = MakeProxyScorer(name);
+    ASSERT_TRUE(scorer.ok());
+    auto batch = (*scorer)->ScoreBatch(pointers, *target);
+    ASSERT_TRUE(batch.ok()) << name;
+    ASSERT_EQ(batch->size(), pointers.size());
+    for (size_t i = 0; i < pointers.size(); ++i) {
+      auto single = (*scorer)->Score(*pointers[i], *target);
+      ASSERT_TRUE(single.ok()) << name;
+      EXPECT_EQ((*batch)[i], *single) << name << " model " << i;
+    }
+  }
+}
+
+// --- Paper zoos: every score recall can consume ----------------------------
+
+/// The oracle scores of one model on one target, in the order of
+/// `proxies`: the reference forward pass, then each reference kernel.
+/// Paper-zoo inputs pass every wrapper's validation, so the oracle needs
+/// none.
+StatusOr<std::vector<double>> OracleScores(
+    const std::vector<std::string>& proxies, const PretrainedModel& model,
+    const Dataset& target) {
+  const std::vector<int> labels = TargetLabels(target);
+  const int num_target = target.spec().num_labels;
+  TPS_ASSIGN_OR_RETURN(
+      Matrix features,
+      PretrainedModelTestPeer::ExtractFeaturesReference(model, target));
+  TPS_ASSIGN_OR_RETURN(
+      Matrix predictions,
+      PretrainedModelTestPeer::PredictDistributionsReference(model, target));
+  std::vector<double> scores;
+  for (const std::string& proxy : proxies) {
+    StatusOr<double> score =
+        proxy == "leep"    ? LeepOracle(predictions, labels, num_target)
+        : proxy == "nce"   ? NceOracle(predictions, labels, num_target)
+        : proxy == "logme" ? LogMeOracle(features, labels, num_target)
+                           : KnnOracle(features, labels, /*k=*/5);
+    TPS_RETURN_NOT_OK(score.status());
+    scores.push_back(*score);
+  }
+  return scores;
+}
+
+TEST(PaperZooOracleTest, ScoreBatchOverWholeZooMatchesOracleScores) {
+  // Both paper zoos x every target x the four proxies: the production
+  // ScoreBatch over the whole zoo (one stacked forward pass, batched
+  // kernels) == each model's oracle score (reference forward pass,
+  // reference kernel). That covers every score recall can consume on
+  // these zoos, representatives or not.
+  const std::vector<std::string> proxies = {"leep", "nce", "logme", "knn"};
+  auto registry = DatasetRegistry::CreatePaperInventory();
+  ASSERT_TRUE(registry.ok()) << registry.status().ToString();
+  for (TaskDomain domain : {TaskDomain::kNLP, TaskDomain::kCV}) {
+    auto zoo = ModelZoo::Create(domain == TaskDomain::kNLP
+                                    ? NlpPaperZooSpecs()
+                                    : CvPaperZooSpecs());
+    ASSERT_TRUE(zoo.ok()) << zoo.status().ToString();
+    std::vector<const PretrainedModel*> models;
+    for (const PretrainedModel& model : zoo->models()) {
+      models.push_back(&model);
+    }
+    for (const Dataset* target : registry->Targets(domain)) {
+      std::vector<std::vector<double>> batches;
+      for (const std::string& proxy : proxies) {
+        auto scorer = MakeProxyScorer(proxy);
+        ASSERT_TRUE(scorer.ok());
+        auto batch = (*scorer)->ScoreBatch(models, *target);
+        ASSERT_TRUE(batch.ok()) << proxy << " " << target->name() << ": "
+                                << batch.status().ToString();
+        ASSERT_EQ(batch->size(), models.size());
+        batches.push_back(std::move(*batch));
+      }
+      for (size_t m = 0; m < models.size(); ++m) {
+        auto oracle = OracleScores(proxies, *models[m], *target);
+        ASSERT_TRUE(oracle.ok()) << oracle.status().ToString();
+        for (size_t p = 0; p < proxies.size(); ++p) {
+          EXPECT_EQ(batches[p][m], (*oracle)[p])
+              << proxies[p] << " " << target->name() << " "
+              << models[m]->name();
+        }
       }
     }
   }
@@ -566,17 +673,13 @@ TEST(ParallelKernelEquivalenceTest, ConcurrentBatchedRunsStayBitIdentical) {
   const ProxyInputs in = MakeInputs(rng, 48, 9, 4, 2.0);
 
   const StatusOr<double> leep_serial =
-      LeepFromPredictions(in.predictions, in.labels, in.num_target,
-                          kernels::KernelMode::kBatched);
+      LeepFromPredictions(in.predictions, in.labels, in.num_target);
   const StatusOr<double> nce_serial =
-      NceFromPredictions(in.predictions, in.labels, in.num_target,
-                         kernels::KernelMode::kBatched);
+      NceFromPredictions(in.predictions, in.labels, in.num_target);
   const StatusOr<double> logme_serial =
-      LogMeFromFeatures(in.features, in.labels, in.num_target,
-                        kernels::KernelMode::kBatched);
+      LogMeFromFeatures(in.features, in.labels, in.num_target);
   const StatusOr<double> knn_serial =
-      KnnLeaveOneOutAccuracy(in.features, in.labels, 5,
-                             kernels::KernelMode::kBatched);
+      KnnLeaveOneOutAccuracy(in.features, in.labels, 5);
   ASSERT_TRUE(leep_serial.ok() && nce_serial.ok() && logme_serial.ok() &&
               knn_serial.ok());
 
@@ -585,14 +688,10 @@ TEST(ParallelKernelEquivalenceTest, ConcurrentBatchedRunsStayBitIdentical) {
       knn(kTrials);
   ThreadPool pool(4);
   pool.ParallelFor(kTrials, [&](size_t t) {
-    leep[t] = *LeepFromPredictions(in.predictions, in.labels, in.num_target,
-                                   kernels::KernelMode::kBatched);
-    nce[t] = *NceFromPredictions(in.predictions, in.labels, in.num_target,
-                                 kernels::KernelMode::kBatched);
-    logme[t] = *LogMeFromFeatures(in.features, in.labels, in.num_target,
-                                  kernels::KernelMode::kBatched);
-    knn[t] = *KnnLeaveOneOutAccuracy(in.features, in.labels, 5,
-                                     kernels::KernelMode::kBatched);
+    leep[t] = *LeepFromPredictions(in.predictions, in.labels, in.num_target);
+    nce[t] = *NceFromPredictions(in.predictions, in.labels, in.num_target);
+    logme[t] = *LogMeFromFeatures(in.features, in.labels, in.num_target);
+    knn[t] = *KnnLeaveOneOutAccuracy(in.features, in.labels, 5);
   });
   for (size_t t = 0; t < kTrials; ++t) {
     EXPECT_EQ(leep[t], *leep_serial);
