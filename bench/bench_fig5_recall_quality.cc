@@ -133,10 +133,10 @@ void ReportBackends(TaskDomain domain, const char* title,
       "build embedding index");
   telemetry->RecordPhase(prefix + "/train_embeddings", train_ms, 0.0, 0.0);
 
+  const CoarseRecall representative(world.zoo.get(), world.matrix.get(),
+                                    world.clustering.get());
   recall::RecallBackendContext context;
-  context.zoo = world.zoo.get();
-  context.matrix = world.matrix.get();
-  context.clustering = world.clustering.get();
+  context.representative = &representative;
   context.embeddings = &trained.embeddings;
   context.embedding_index = &embedding_index;
   const recall::RecallBackendSet backends(context);
@@ -156,7 +156,7 @@ void ReportBackends(TaskDomain domain, const char* title,
         "truth " + target->name());
     ++num_targets;
     for (const std::string& name : backends.available()) {
-      const recall::RecallBackend* backend =
+      const RecallBackend* backend =
           ExitIfError(backends.Find(name), "find backend " + name);
       const RecallResult result = ExitIfError(
           backend->Recall(*target, RecallOptions(), /*budget=*/nullptr),

@@ -5,6 +5,7 @@
 #include "clustering/distance.h"
 #include "util/logging.h"
 #include "util/parallel.h"
+#include "util/stats.h"
 #include "util/timer.h"
 
 namespace tps {
@@ -204,7 +205,7 @@ StatusOr<RecallResult> CoarseRecall::Recall(const Dataset& target,
     std::vector<double> combined(raw_per_scorer[0].size(), 0.0);
     for (size_t si = 0; si < scorers.size(); ++si) {
       const std::vector<double> normalized =
-          MinMaxNormalize(raw_per_scorer[si]);
+          stats::MinMaxNormalize(raw_per_scorer[si]);
       for (size_t i = 0; i < combined.size(); ++i) {
         combined[i] +=
             normalized[i] / static_cast<double>(scorers.size());

@@ -24,9 +24,7 @@
 
 namespace tps {
 
-namespace recall {
 class RecallBackend;
-}  // namespace recall
 
 struct RecallOptions {
   /// How many models to hand to the fine-selection phase (the paper uses
@@ -87,16 +85,13 @@ struct RecallOptions {
   /// scored-partition count reproduces brute force exactly. The
   /// brute-force index ignores it.
   size_t nprobe = 0;
-  /// Optional pluggable recall backend ("Recall backends" in DESIGN.md).
-  /// When non-null, TwoPhaseSelector routes phase 1 through this backend
-  /// instead of the built-in CoarseRecall path; when null (the default)
-  /// CoarseRecall runs directly — the representative backend is a
-  /// pure delegation back to CoarseRecall, so routing through it is
-  /// bit-identical (tests/recall/backend_equivalence_test.cc). Forward
-  /// declared: core never links the recall library; the pointer is
-  /// injected by the serving layer. The caller owns the backend; it must
-  /// outlive the call.
-  const recall::RecallBackend* backend = nullptr;
+  /// Phase-1 backend ("Recall backends" in DESIGN.md). When non-null,
+  /// TwoPhaseSelector runs phase 1 on this backend; when null (the
+  /// default) it runs on its own CoarseRecall, which is the
+  /// "representative" backend itself. The serving layer resolves request
+  /// names against a snapshot's RecallBackendSet. The caller owns the
+  /// backend; it must outlive the call.
+  const RecallBackend* backend = nullptr;
 };
 
 /// One scored model in the recall ranking.
@@ -127,14 +122,43 @@ struct RecallResult {
   size_t RankOf(size_t model_index) const;
 };
 
-/// Phase 1 of the framework: recalls the most promising K models by
-/// combining the benchmark-accuracy prior with a proxy score computed only
-/// for non-singleton cluster representatives (Eq. 3), propagated to
-/// singleton clusters by performance similarity (Eq. 4). Every call ranks
+/// Phase 1 behind an interface ("Recall backends" in DESIGN.md): every
+/// implementation ranks the zoo for a target dataset and returns the same
+/// RecallResult shape the fine-selection phase consumes, so backends are
+/// interchangeable per request. Implementations must be const-thread-safe:
+/// one backend instance serves every in-flight request of an artifact
+/// snapshot concurrently.
+class RecallBackend {
+ public:
+  virtual ~RecallBackend() = default;
+
+  /// Request-facing name ("representative", "embedding", "hybrid").
+  virtual const std::string& name() const = 0;
+
+  /// Same contract as CoarseRecall::Recall: full descending ranking,
+  /// deterministic for any thread count, epoch budget charged only for
+  /// proxies actually computed, `cancel` polled so an expired deadline
+  /// yields DeadlineExceeded rather than a partial ranking. All pointer
+  /// parameters may be null except the target.
+  virtual StatusOr<RecallResult> Recall(const Dataset& target,
+                                        const RecallOptions& options,
+                                        EpochBudget* budget,
+                                        ThreadPool* pool = nullptr,
+                                        MetricsRegistry* metrics = nullptr,
+                                        SelectionTrace* trace = nullptr,
+                                        const CancelToken* cancel =
+                                            nullptr) const = 0;
+};
+
+/// Phase 1 of the framework, served as the "representative" backend:
+/// recalls the most promising K models by combining the
+/// benchmark-accuracy prior with a proxy score computed only for
+/// non-singleton cluster representatives (Eq. 3), propagated to singleton
+/// clusters by performance similarity (Eq. 4). Every call ranks
 /// through a RecallIndex: the caller's (RecallOptions::index) or the
 /// clustering's brute-force index, built on the first call that passes
 /// none and reused by every later one.
-class CoarseRecall {
+class CoarseRecall : public RecallBackend {
  public:
   /// All pointers must outlive this object, and the matrix and clustering
   /// must not change under it.
@@ -163,13 +187,17 @@ class CoarseRecall {
                                 ThreadPool* pool = nullptr,
                                 MetricsRegistry* metrics = nullptr,
                                 SelectionTrace* trace = nullptr,
-                                const CancelToken* cancel = nullptr) const;
+                                const CancelToken* cancel =
+                                    nullptr) const override;
+
+  const std::string& name() const override { return name_; }
 
  private:
   /// `options.index`, or the clustering's brute-force index (built once,
   /// thread-safely, on first use).
   StatusOr<const RecallIndex*> IndexFor(const RecallOptions& options) const;
 
+  const std::string name_ = "representative";
   const ModelZoo* zoo_;
   const PerformanceMatrix* matrix_;
   const ModelClustering* clustering_;

@@ -1,6 +1,5 @@
 #include "core/two_phase.h"
 
-#include "recall/recall_backend.h"
 #include "util/logging.h"
 
 namespace tps {
@@ -50,23 +49,13 @@ StatusOr<TwoPhaseReport> TwoPhaseSelector::Select(
     trace->domain = ToString(target.spec().domain);
   }
 
-  // Phase 1: coarse recall (charges 0.5 epoch-equivalents per proxy).
-  // A non-null pluggable backend takes over the whole phase; the default
-  // null path is the paper's cluster-representative proxy recall (the
-  // representative backend delegates right back to CoarseRecall, so the
-  // two routes are bit-identical).
-  if (options.recall.backend != nullptr) {
-    TPS_ASSIGN_OR_RETURN(
-        report.recall,
-        options.recall.backend->Recall(target, options.recall,
-                                       &report.budget, pool, metrics, trace,
-                                       options.cancel));
-  } else {
-    TPS_ASSIGN_OR_RETURN(report.recall,
-                         recall_.Recall(target, options.recall,
-                                        &report.budget, pool, metrics, trace,
-                                        options.cancel));
-  }
+  // Phase 1: coarse recall (charges 0.5 epoch-equivalents per proxy) on
+  // the request's backend, or on this selector's own CoarseRecall.
+  const RecallBackend& recall =
+      options.recall.backend != nullptr ? *options.recall.backend : recall_;
+  TPS_ASSIGN_OR_RETURN(report.recall,
+                       recall.Recall(target, options.recall, &report.budget,
+                                     pool, metrics, trace, options.cancel));
   const std::vector<size_t> candidates =
       report.recall.TopModels(options.recall.top_k_models);
   if (candidates.empty()) {

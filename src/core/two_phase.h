@@ -91,6 +91,10 @@ class TwoPhaseSelector {
                                   const Hyperparams& hp,
                                   ThreadPool* pool) const;
 
+  /// The selector's own phase 1: the "representative" backend that runs
+  /// when RecallOptions::backend is null.
+  const CoarseRecall& recall() const { return recall_; }
+
  private:
   const ModelZoo* zoo_;
   const PerformanceMatrix* matrix_;

@@ -135,11 +135,14 @@ StatusOr<PretrainedModel> PretrainedModel::Create(const ModelSpec& spec) {
   vec::NormalizeInPlace(affinity);
   model.affinity_ = std::move(affinity);
 
-  model.source_prototypes_.reserve(
-      static_cast<size_t>(spec.num_source_labels));
-  for (int z = 0; z < spec.num_source_labels; ++z) {
+  // Prototypes are written straight into the dimension-major layout the
+  // stacked forward pass reads.
+  const size_t num_protos = static_cast<size_t>(spec.num_source_labels);
+  model.proto_soa_.resize(latent::kDims * num_protos);
+  for (size_t z = 0; z < num_protos; ++z) {
     std::vector<double> proto = latent::LabelVector(
-        latent::CombineSeeds(model.seed_, latent::HashString("head")), z);
+        latent::CombineSeeds(model.seed_, latent::HashString("head")),
+        static_cast<int>(z));
     // Head prototype = affinity-anchored + label-specific direction, same
     // mixture shape as dataset examples.
     std::vector<double> psi(latent::kDims);
@@ -148,14 +151,8 @@ StatusOr<PretrainedModel> PretrainedModel::Create(const ModelSpec& spec) {
                kHeadLabelWeight * proto[d];
     }
     vec::NormalizeInPlace(psi);
-    model.source_prototypes_.push_back(std::move(psi));
-  }
-  // Dimension-major transpose of the prototypes for the SoA forward pass.
-  const size_t num_protos = model.source_prototypes_.size();
-  model.proto_soa_.resize(latent::kDims * num_protos);
-  for (size_t z = 0; z < num_protos; ++z) {
     for (size_t d = 0; d < latent::kDims; ++d) {
-      model.proto_soa_[d * num_protos + z] = model.source_prototypes_[z][d];
+      model.proto_soa_[d * num_protos + z] = psi[d];
     }
   }
   return model;
@@ -191,7 +188,8 @@ PretrainedModel::HeadParams PretrainedModel::ComputeHeadParams(
   // Model-specific routing of target labels onto source labels. The offset
   // is a deterministic function of (model, dataset) so predictions stay
   // consistent across calls.
-  params.route_offset = rng.Next() % source_prototypes_.size();
+  params.route_offset =
+      rng.Next() % static_cast<size_t>(spec_.num_source_labels);
   return params;
 }
 
@@ -207,7 +205,8 @@ StatusOr<std::vector<Matrix>> PretrainedModel::ForwardBatch(
   const size_t num_models = models.size();
   std::vector<size_t> offset(num_models + 1, 0);
   for (size_t k = 0; k < num_models; ++k) {
-    offset[k + 1] = offset[k] + models[k]->source_prototypes_.size();
+    offset[k + 1] = offset[k] +
+                    static_cast<size_t>(models[k]->spec_.num_source_labels);
   }
   const size_t stride =
       (offset.back() + kBlockCols - 1) / kBlockCols * kBlockCols;

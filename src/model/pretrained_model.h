@@ -112,11 +112,10 @@ class PretrainedModel {
   uint64_t seed_ = 0;
   double capability_ = 0.0;
   std::vector<double> affinity_;
-  /// Source-label prototype directions, one per source label (unit norm).
-  std::vector<std::vector<double>> source_prototypes_;
-  /// The same prototypes transposed to dimension-major SoA layout
-  /// (proto_soa_[d * Z + z] = source_prototypes_[z][d]): row d is this
-  /// model's slice of the stacked forward pass's panel row d.
+  /// Source-label prototype directions, one unit-norm vector per source
+  /// label, stored dimension-major (proto_soa_[d * Z + z] is coordinate d
+  /// of prototype z): row d is this model's slice of the stacked forward
+  /// pass's panel row d.
   std::vector<double> proto_soa_;
 };
 

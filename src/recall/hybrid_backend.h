@@ -1,9 +1,9 @@
 #ifndef TPS_RECALL_HYBRID_BACKEND_H_
 #define TPS_RECALL_HYBRID_BACKEND_H_
 
-#include <memory>
+#include <string>
 
-#include "recall/recall_backend.h"
+#include "core/coarse_recall.h"
 
 namespace tps {
 namespace recall {
@@ -14,10 +14,32 @@ namespace recall {
 /// (a model one backend never saw contributes 0 for that backend). The
 /// epoch budget and proxies_computed come from the representative run
 /// alone — the embedding side is free by construction.
-///
-/// Requires everything both constituent backends require.
-StatusOr<std::unique_ptr<RecallBackend>> CreateHybridBackend(
-    const RecallBackendContext& context);
+class HybridBackend : public RecallBackend {
+ public:
+  /// Both legs are borrowed and must outlive the hybrid.
+  HybridBackend(const RecallBackend* representative,
+                const RecallBackend* embedding)
+      : representative_(representative), embedding_(embedding) {}
+
+  const std::string& name() const override { return name_; }
+
+  StatusOr<RecallResult> Recall(const Dataset& target,
+                                const RecallOptions& options,
+                                EpochBudget* budget,
+                                ThreadPool* pool = nullptr,
+                                MetricsRegistry* metrics = nullptr,
+                                SelectionTrace* trace = nullptr,
+                                const CancelToken* cancel =
+                                    nullptr) const override;
+
+  /// The leg that carries the budget, metrics and trace.
+  const RecallBackend& representative() const { return *representative_; }
+
+ private:
+  std::string name_ = "hybrid";
+  const RecallBackend* representative_;
+  const RecallBackend* embedding_;
+};
 
 }  // namespace recall
 }  // namespace tps

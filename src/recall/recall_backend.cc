@@ -1,90 +1,42 @@
 #include "recall/recall_backend.h"
 
-#include <algorithm>
-#include <map>
 #include <utility>
 
-#include "recall/embedding_backend.h"
-#include "recall/hybrid_backend.h"
-#include "recall/representative_backend.h"
+#include "util/logging.h"
 
 namespace tps {
 namespace recall {
 
-namespace {
-
-std::map<std::string, RecallBackendFactory>& Registry() {
-  static auto* registry = [] {
-    auto* r = new std::map<std::string, RecallBackendFactory>();
-    (*r)["representative"] = [](const RecallBackendContext& context) {
-      return CreateRepresentativeBackend(context);
-    };
-    (*r)["embedding"] = [](const RecallBackendContext& context) {
-      return CreateEmbeddingBackend(context);
-    };
-    (*r)["hybrid"] = [](const RecallBackendContext& context) {
-      return CreateHybridBackend(context);
-    };
-    return r;
-  }();
-  return *registry;
-}
-
-}  // namespace
-
-void RegisterRecallBackend(const std::string& name,
-                           RecallBackendFactory factory) {
-  Registry()[name] = std::move(factory);
-}
-
-StatusOr<std::unique_ptr<RecallBackend>> CreateRecallBackend(
-    const std::string& name, const RecallBackendContext& context) {
-  const auto& registry = Registry();
-  const auto it = registry.find(name);
-  if (it == registry.end()) {
-    return Status::NotFound("unknown recall backend: " + name);
-  }
-  return it->second(context);
-}
-
-std::vector<std::string> RecallBackendNames() {
-  std::vector<std::string> names;
-  for (const auto& [name, factory] : Registry()) names.push_back(name);
-  return names;  // std::map iterates sorted.
-}
-
-RecallBackendSet::RecallBackendSet(const RecallBackendContext& context) {
-  for (const std::string& name : RecallBackendNames()) {
-    auto backend = CreateRecallBackend(name, context);
-    // Backends the context cannot support (e.g. embedding recall without
-    // trained embeddings) are left out rather than failing the whole
-    // artifact load; requests naming them get FailedPrecondition.
-    if (backend.ok()) backends_.push_back(std::move(backend).value());
-  }
+RecallBackendSet::RecallBackendSet(const RecallBackendContext& context)
+    : representative_(context.representative) {
+  TPS_CHECK(representative_ != nullptr);
+  StatusOr<EmbeddingBackend> embedding =
+      EmbeddingBackend::Create(context.embeddings, context.embedding_index);
+  // Without usable embeddings the set serves the representative backend
+  // alone rather than failing the whole artifact load.
+  if (!embedding.ok()) return;
+  embedding_.emplace(std::move(embedding).value());
+  hybrid_.emplace(representative_, &*embedding_);
 }
 
 StatusOr<const RecallBackend*> RecallBackendSet::Find(
     const std::string& name) const {
-  for (const std::unique_ptr<RecallBackend>& backend : backends_) {
-    if (backend->name() == name) return backend.get();
-  }
-  const std::vector<std::string> registered = RecallBackendNames();
-  if (std::find(registered.begin(), registered.end(), name) !=
-      registered.end()) {
-    return Status::FailedPrecondition(
-        "recall backend \"" + name +
-        "\" is not available for these artifacts (train embeddings first)");
+  if (name == representative_->name()) return representative_;
+  if (name == "embedding" || name == "hybrid") {
+    if (!embedding_.has_value()) {
+      return Status::FailedPrecondition(
+          "recall backend \"" + name +
+          "\" is not available for these artifacts (train embeddings first)");
+    }
+    if (name == "embedding") return &*embedding_;
+    return &*hybrid_;
   }
   return Status::NotFound("unknown recall backend: " + name);
 }
 
 std::vector<std::string> RecallBackendSet::available() const {
-  std::vector<std::string> names;
-  for (const std::unique_ptr<RecallBackend>& backend : backends_) {
-    names.push_back(backend->name());
-  }
-  std::sort(names.begin(), names.end());
-  return names;
+  if (!embedding_.has_value()) return {representative_->name()};
+  return {embedding_->name(), hybrid_->name(), representative_->name()};
 }
 
 }  // namespace recall

@@ -29,8 +29,8 @@ struct ArtifactSnapshot {
         selector(&artifacts.zoo, &artifacts.matrix, &artifacts.clustering,
                  &simulator),
         backends(recall::RecallBackendContext{
-            &artifacts.zoo, &artifacts.matrix, &artifacts.clustering,
-            artifacts.embeddings.get(), artifacts.embedding_index.get()}) {}
+            &selector.recall(), artifacts.embeddings.get(),
+            artifacts.embedding_index.get()}) {}
 
   ArtifactSnapshot(const ArtifactSnapshot&) = delete;
   ArtifactSnapshot& operator=(const ArtifactSnapshot&) = delete;
@@ -44,8 +44,11 @@ struct ArtifactSnapshot {
   TwoPhaseSelector selector;
   /// Per-version recall backends ("Recall backends" in DESIGN.md), built
   /// over this snapshot's own artifacts so a request routed to one can
-  /// never mix versions mid-swap. Backends the version cannot support
-  /// (no trained embeddings) are absent, not errors.
+  /// never mix versions mid-swap. "representative" and the hybrid's
+  /// representative leg are `selector`'s own CoarseRecall, so the
+  /// snapshot holds one recall and at most one brute-force index.
+  /// Backends the version cannot support (no trained embeddings) are
+  /// absent, not errors.
   const recall::RecallBackendSet backends;
 };
 

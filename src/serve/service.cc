@@ -227,10 +227,11 @@ SelectionResponse SelectionService::Run(const SelectionRequest& request,
       options.recall.nprobe = request.nprobe;
       response.index_backend = artifacts.index->name();
     }
-    // Recall backend routing: an empty name runs CoarseRecall directly
-    // (no backend pointer is even set); a named
-    // backend resolves against this snapshot's own backend set, so the
-    // backend and the artifacts it reads are always the same version.
+    // Recall backend routing: an empty name leaves the backend null, so
+    // the selector runs its own CoarseRecall; a name resolves against
+    // this snapshot's backend set ("representative" is that same
+    // CoarseRecall), so the backend and the artifacts it reads are always
+    // the same version.
     if (!request.recall_backend.empty()) {
       TPS_ASSIGN_OR_RETURN(options.recall.backend,
                            snapshot.backends.Find(request.recall_backend));

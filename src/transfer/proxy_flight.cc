@@ -284,16 +284,6 @@ StatusOr<std::vector<double>> ProxyFlightGroup::GetOrComputeBatch(
   return scores;
 }
 
-StatusOr<double> ProxyFlightGroup::GetOrCompute(
-    ProxyScoreCache* cache, const ProxyCacheKey& key,
-    const std::function<Status()>& poll_cancel,
-    const std::function<StatusOr<double>()>& compute) {
-  TPS_ASSIGN_OR_RETURN(
-      std::vector<double> scores,
-      GetOrComputeBatch(cache, {key}, poll_cancel, OneKey(compute)));
-  return scores[0];
-}
-
 StatusOr<double> ProxyFlightGroup::ComputeShared(
     const ProxyCacheKey& key, const std::function<Status()>& poll_cancel,
     const std::function<std::optional<double>()>& lookup,

@@ -30,7 +30,7 @@ namespace tps {
 /// flight is published — after its score is in the cache — before the
 /// caller waits on any flight it joined. Because no member ever waits
 /// while leading, waves that overlap in any order cannot deadlock. The
-/// single-key entry points are a batch of one.
+/// single-key entry point, ComputeShared, is a batch of one.
 ///
 /// Inertness: proxy scores are pure functions of the key, so a waiter
 /// receiving the leader's double is bit-identical to computing it — the
@@ -80,12 +80,6 @@ class ProxyFlightGroup {
       ProxyScoreCache* cache, const std::vector<ProxyCacheKey>& keys,
       const std::function<Status()>& poll_cancel,
       const BatchCompute& compute);
-
-  /// GetOrComputeBatch for one key.
-  StatusOr<double> GetOrCompute(
-      ProxyScoreCache* cache, const ProxyCacheKey& key,
-      const std::function<Status()>& poll_cancel,
-      const std::function<StatusOr<double>()>& compute);
 
   /// The raw coalescing primitive for one key (no cache semantics): joins
   /// or creates its flight. A (possibly promoted) leader first consults

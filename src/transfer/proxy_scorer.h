@@ -60,11 +60,6 @@ StatusOr<std::vector<double>> ScoreStacked(
 StatusOr<std::unique_ptr<ProxyScorer>> MakeProxyScorer(
     const std::string& name);
 
-/// Min-max normalizes scores to [0, 1] (the paper normalizes LEEP before
-/// combining it with the prior accuracy in the recall score). A constant
-/// vector maps to all 0.5.
-std::vector<double> MinMaxNormalize(const std::vector<double>& scores);
-
 /// The per-example labels of `target`, in example order — the shared
 /// second input of every proxy kernel.
 std::vector<int> TargetLabels(const Dataset& target);

@@ -125,6 +125,21 @@ std::vector<size_t> ArgSortAscending(const std::vector<double>& values) {
   return indices;
 }
 
+std::vector<double> MinMaxNormalize(const std::vector<double>& values) {
+  if (values.empty()) return {};
+  const double lo = *std::min_element(values.begin(), values.end());
+  const double hi = *std::max_element(values.begin(), values.end());
+  std::vector<double> out(values.size());
+  if (hi <= lo) {
+    std::fill(out.begin(), out.end(), 0.5);
+    return out;
+  }
+  for (size_t i = 0; i < values.size(); ++i) {
+    out[i] = (values[i] - lo) / (hi - lo);
+  }
+  return out;
+}
+
 double Clamp(double v, double lo, double hi) {
   return std::max(lo, std::min(hi, v));
 }

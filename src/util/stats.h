@@ -50,6 +50,11 @@ std::vector<size_t> ArgSortAscending(const std::vector<double>& values);
 /// Average ranks (1-based) with ties averaged, ascending order.
 std::vector<double> Ranks(const std::vector<double>& values);
 
+/// Min-max normalizes `values` into [0, 1] (the paper normalizes LEEP
+/// before combining it with the prior accuracy in the recall score). A
+/// constant vector maps to all 0.5; an empty one to an empty result.
+std::vector<double> MinMaxNormalize(const std::vector<double>& values);
+
 /// Clamps v into [lo, hi].
 double Clamp(double v, double lo, double hi);
 

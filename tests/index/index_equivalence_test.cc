@@ -18,6 +18,7 @@
 #include "sim/epoch_budget.h"
 #include "sim/finetune_simulator.h"
 #include "transfer/proxy_scorer.h"
+#include "util/stats.h"
 #include "util/thread_pool.h"
 
 namespace tps {
@@ -94,7 +95,7 @@ RecallResult ReferenceSweep(const ModelZoo& zoo,
     const std::unique_ptr<ProxyScorer> scorer = MakeProxyScorer(name).value();
     std::vector<double> raw;
     for (size_t m : scored) raw.push_back(*scorer->Score(zoo.model(m), target));
-    const std::vector<double> normalized = MinMaxNormalize(raw);
+    const std::vector<double> normalized = stats::MinMaxNormalize(raw);
     for (size_t i = 0; i < scored.size(); ++i) {
       norm[i] += normalized[i] / static_cast<double>(proxies.size());
     }

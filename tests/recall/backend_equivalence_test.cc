@@ -3,7 +3,6 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <memory>
 #include <string>
 #include <vector>
 
@@ -19,11 +18,11 @@ namespace recall {
 namespace {
 
 // The interchangeability contracts of the pluggable recall backends:
-// "representative" is a pure delegation to CoarseRecall (bit-identical
-// ranking AND epoch ledger, serial or pooled, index-less or indexed),
-// routing a TwoPhaseSelector through it changes nothing, "embedding"
-// ranks with dot products only (zero proxies, zero budget), and "hybrid"
-// charges exactly what its representative leg charged.
+// routing a TwoPhaseSelector through a CoarseRecall other than its own
+// changes nothing (ranking, ledger, selection), "embedding" ranks with dot
+// products only (zero proxies, zero budget), "hybrid" charges exactly what
+// its representative leg charged, and the set resolves names to exactly
+// the backends the artifacts can serve.
 
 void ExpectSameRanking(const RecallResult& a, const RecallResult& b) {
   ASSERT_EQ(a.ranked.size(), b.ranked.size());
@@ -69,16 +68,22 @@ class BackendEquivalenceTest : public testing::Test {
         embeddings_->model_embeddings(), embeddings_->prior(),
         IvfIndexOptions()));
     target_ = *registry_->Find("mnli");
+    representative_ = new CoarseRecall(zoo_, matrix_, clustering_);
   }
 
   static RecallBackendContext FullContext() {
     RecallBackendContext context;
-    context.zoo = zoo_;
-    context.matrix = matrix_;
-    context.clustering = clustering_;
+    context.representative = representative_;
     context.embeddings = embeddings_;
     context.embedding_index = embedding_index_;
     return context;
+  }
+
+  static const RecallBackend* Backend(const RecallBackendSet& set,
+                                      const std::string& name) {
+    auto backend = set.Find(name);
+    EXPECT_TRUE(backend.ok()) << backend.status().message();
+    return backend.ok() ? *backend : nullptr;
   }
 
   static ModelZoo* zoo_;
@@ -89,6 +94,7 @@ class BackendEquivalenceTest : public testing::Test {
   static RecallEmbeddings* embeddings_;
   static IvfIndex* embedding_index_;
   static const Dataset* target_;
+  static CoarseRecall* representative_;
 };
 
 ModelZoo* BackendEquivalenceTest::zoo_ = nullptr;
@@ -99,76 +105,44 @@ ModelClustering* BackendEquivalenceTest::clustering_ = nullptr;
 RecallEmbeddings* BackendEquivalenceTest::embeddings_ = nullptr;
 IvfIndex* BackendEquivalenceTest::embedding_index_ = nullptr;
 const Dataset* BackendEquivalenceTest::target_ = nullptr;
+CoarseRecall* BackendEquivalenceTest::representative_ = nullptr;
 
-TEST_F(BackendEquivalenceTest, RepresentativeIsBitIdenticalToCoarseRecall) {
-  auto backend = CreateRecallBackend("representative", FullContext());
-  ASSERT_TRUE(backend.ok()) << backend.status().message();
-  CoarseRecall direct(zoo_, matrix_, clustering_);
-  const RecallOptions options;
-  for (int threads : {0, 4}) {
-    ThreadPool pool(threads == 0 ? 1 : threads);
-    ThreadPool* p = threads == 0 ? nullptr : &pool;
-    EpochBudget direct_budget;
-    EpochBudget backend_budget;
-    auto want = direct.Recall(*target_, options, &direct_budget, p);
-    auto got = (*backend)->Recall(*target_, options, &backend_budget, p);
+TEST_F(BackendEquivalenceTest, RoutedSelectorMatchesUnroutedBitForBit) {
+  // The set's "representative" is the fixture's CoarseRecall, not the
+  // selector's own: routing through it must change nothing, serial or
+  // pooled.
+  const RecallBackendSet set(FullContext());
+  const RecallBackend* backend = Backend(set, "representative");
+  ASSERT_EQ(backend, representative_);
+  TwoPhaseSelector selector(zoo_, matrix_, clustering_, simulator_);
+  ASSERT_NE(backend, &selector.recall());
+  for (int threads : {1, 4}) {
+    TwoPhaseOptions unrouted;
+    unrouted.num_threads = threads;
+    TwoPhaseOptions routed = unrouted;
+    routed.recall.backend = backend;
+    auto want = selector.Select(*target_, unrouted);
+    auto got = selector.Select(*target_, routed);
     ASSERT_TRUE(want.ok());
     ASSERT_TRUE(got.ok()) << got.status().message();
-    ExpectSameRanking(*want, *got);
-    ExpectSameLedger(direct_budget, backend_budget);
+    ExpectSameRanking(want->recall, got->recall);
+    ExpectSameLedger(want->budget, got->budget);
+    EXPECT_EQ(want->selection.selected_model, got->selection.selected_model);
+    EXPECT_EQ(want->selection.selected_accuracy,
+              got->selection.selected_accuracy);
+    EXPECT_EQ(want->selection.training_epochs,
+              got->selection.training_epochs);
+    EXPECT_EQ(want->selection.survivors_per_stage,
+              got->selection.survivors_per_stage);
   }
 }
 
-TEST_F(BackendEquivalenceTest, RepresentativeDelegatesIndexModeUnchanged) {
-  // An accuracy-vector IVF in options.index must pass straight through the
-  // backend: the indexed delegation is bit-identical to calling
-  // CoarseRecall with the same index, ledger included.
-  IvfIndexOptions index_options;
-  index_options.propagation_neighbors = 0;  // Exact propagation.
-  auto index = IvfIndex::Build(matrix_->ModelVectors(),
-                               matrix_->ModelAverageAccuracies(),
-                               index_options);
-  ASSERT_TRUE(index.ok()) << index.status().message();
-  RecallOptions options;
-  options.index = &*index;
-  auto backend = CreateRecallBackend("representative", FullContext());
-  ASSERT_TRUE(backend.ok());
-  CoarseRecall direct(zoo_, matrix_, clustering_);
-  EpochBudget direct_budget;
-  EpochBudget backend_budget;
-  auto want = direct.Recall(*target_, options, &direct_budget);
-  auto got = (*backend)->Recall(*target_, options, &backend_budget);
-  ASSERT_TRUE(want.ok());
-  ASSERT_TRUE(got.ok()) << got.status().message();
-  ExpectSameRanking(*want, *got);
-  ExpectSameLedger(direct_budget, backend_budget);
-}
-
-TEST_F(BackendEquivalenceTest, RoutedSelectorMatchesUnroutedBitForBit) {
-  auto backend = CreateRecallBackend("representative", FullContext());
-  ASSERT_TRUE(backend.ok());
-  TwoPhaseSelector selector(zoo_, matrix_, clustering_, simulator_);
-  TwoPhaseOptions unrouted;
-  TwoPhaseOptions routed;
-  routed.recall.backend = backend->get();
-  auto want = selector.Select(*target_, unrouted);
-  auto got = selector.Select(*target_, routed);
-  ASSERT_TRUE(want.ok());
-  ASSERT_TRUE(got.ok()) << got.status().message();
-  ExpectSameRanking(want->recall, got->recall);
-  ExpectSameLedger(want->budget, got->budget);
-  EXPECT_EQ(want->selection.selected_model, got->selection.selected_model);
-  EXPECT_EQ(want->selection.selected_accuracy, got->selection.selected_accuracy);
-  EXPECT_EQ(want->selection.training_epochs, got->selection.training_epochs);
-  EXPECT_EQ(want->selection.survivors_per_stage,
-            got->selection.survivors_per_stage);
-}
-
 TEST_F(BackendEquivalenceTest, EmbeddingRanksWithoutChargingTheBudget) {
-  auto backend = CreateRecallBackend("embedding", FullContext());
-  ASSERT_TRUE(backend.ok()) << backend.status().message();
+  const RecallBackendSet set(FullContext());
+  const RecallBackend* backend = Backend(set, "embedding");
+  ASSERT_NE(backend, nullptr);
   EpochBudget budget;
-  auto result = (*backend)->Recall(*target_, RecallOptions(), &budget);
+  auto result = backend->Recall(*target_, RecallOptions(), &budget);
   ASSERT_TRUE(result.ok()) << result.status().message();
   EXPECT_EQ(result->proxies_computed, 0u);
   EXPECT_EQ(budget.training_epochs(), 0.0);
@@ -179,27 +153,25 @@ TEST_F(BackendEquivalenceTest, EmbeddingRanksWithoutChargingTheBudget) {
               result->ranked[i].recall_score);
   }
   // Deterministic: a second run is bit-identical.
-  auto again = (*backend)->Recall(*target_, RecallOptions(), nullptr);
+  auto again = backend->Recall(*target_, RecallOptions(), nullptr);
   ASSERT_TRUE(again.ok());
   ExpectSameRanking(*result, *again);
 }
 
 TEST_F(BackendEquivalenceTest, EmbeddingWithoutIndexRanksTheWholeZoo) {
-  RecallBackendContext context = FullContext();
-  context.embedding_index = nullptr;
-  auto backend = CreateRecallBackend("embedding", context);
+  auto backend = EmbeddingBackend::Create(embeddings_, nullptr);
   ASSERT_TRUE(backend.ok());
-  auto result = (*backend)->Recall(*target_, RecallOptions(), nullptr);
+  auto result = backend->Recall(*target_, RecallOptions(), nullptr);
   ASSERT_TRUE(result.ok());
   EXPECT_EQ(result->ranked.size(), zoo_->size());
 }
 
 TEST_F(BackendEquivalenceTest, EmbeddingIndexNprobeBoundsTheCandidates) {
-  auto backend = CreateRecallBackend("embedding", FullContext());
+  auto backend = EmbeddingBackend::Create(embeddings_, embedding_index_);
   ASSERT_TRUE(backend.ok());
   RecallOptions narrow;
   narrow.nprobe = 1;
-  auto narrowed = (*backend)->Recall(*target_, narrow, nullptr);
+  auto narrowed = backend->Recall(*target_, narrow, nullptr);
   ASSERT_TRUE(narrowed.ok());
   // One probed partition -> exactly that posting list, a strict subset of
   // the zoo, and every candidate really lives in the probed partition.
@@ -220,15 +192,14 @@ TEST_F(BackendEquivalenceTest, EmbeddingIndexNprobeBoundsTheCandidates) {
 }
 
 TEST_F(BackendEquivalenceTest, HybridChargesOnlyTheRepresentativeLeg) {
-  auto hybrid = CreateRecallBackend("hybrid", FullContext());
-  auto representative = CreateRecallBackend("representative", FullContext());
-  ASSERT_TRUE(hybrid.ok()) << hybrid.status().message();
-  ASSERT_TRUE(representative.ok());
+  const RecallBackendSet set(FullContext());
+  const RecallBackend* hybrid = Backend(set, "hybrid");
+  ASSERT_NE(hybrid, nullptr);
   EpochBudget hybrid_budget;
   EpochBudget representative_budget;
-  auto fused = (*hybrid)->Recall(*target_, RecallOptions(), &hybrid_budget);
-  auto rep =
-      (*representative)->Recall(*target_, RecallOptions(), &representative_budget);
+  auto fused = hybrid->Recall(*target_, RecallOptions(), &hybrid_budget);
+  auto rep = representative_->Recall(*target_, RecallOptions(),
+                                     &representative_budget);
   ASSERT_TRUE(fused.ok()) << fused.status().message();
   ASSERT_TRUE(rep.ok());
   EXPECT_EQ(fused->proxies_computed, rep->proxies_computed);
@@ -240,41 +211,59 @@ TEST_F(BackendEquivalenceTest, HybridChargesOnlyTheRepresentativeLeg) {
               fused->ranked[i].recall_score);
   }
   // Deterministic: a second run is bit-identical.
-  auto again = (*hybrid)->Recall(*target_, RecallOptions(), nullptr);
+  auto again = hybrid->Recall(*target_, RecallOptions(), nullptr);
   ASSERT_TRUE(again.ok());
   ExpectSameRanking(*fused, *again);
 }
 
 TEST_F(BackendEquivalenceTest, RegistryResolvesAndRejects) {
-  const std::vector<std::string> names = RecallBackendNames();
-  for (const char* expected : {"embedding", "hybrid", "representative"}) {
-    EXPECT_NE(std::find(names.begin(), names.end(), expected), names.end())
-        << expected << " is not registered";
-  }
-  EXPECT_TRUE(
-      CreateRecallBackend("bogus", FullContext()).status().IsNotFound());
-
-  // Without trained embeddings, only the representative backend survives.
+  // Without trained embeddings, only the representative backend serves.
   RecallBackendContext bare = FullContext();
   bare.embeddings = nullptr;
   bare.embedding_index = nullptr;
-  EXPECT_TRUE(
-      CreateRecallBackend("embedding", bare).status().IsFailedPrecondition());
-  EXPECT_TRUE(
-      CreateRecallBackend("hybrid", bare).status().IsFailedPrecondition());
+  EXPECT_TRUE(EmbeddingBackend::Create(nullptr, nullptr)
+                  .status()
+                  .IsFailedPrecondition());
   const RecallBackendSet set(bare);
   EXPECT_EQ(set.available(), std::vector<std::string>{"representative"});
   EXPECT_TRUE(set.Find("embedding").status().IsFailedPrecondition());
+  EXPECT_TRUE(set.Find("hybrid").status().IsFailedPrecondition());
   EXPECT_TRUE(set.Find("no-such-backend").status().IsNotFound());
-  auto found = set.Find("representative");
-  ASSERT_TRUE(found.ok());
-  EXPECT_EQ((*found)->name(), "representative");
+  EXPECT_TRUE(set.Find("").status().IsNotFound());
+  const RecallBackend* representative = Backend(set, "representative");
+  EXPECT_EQ(representative, representative_);
+  EXPECT_EQ(representative->name(), "representative");
 
-  // With embeddings, all three serve.
+  // With embeddings, all three serve, and the hybrid's representative leg
+  // is the context's own CoarseRecall rather than a copy.
   const RecallBackendSet full(FullContext());
   EXPECT_EQ(full.available(),
             (std::vector<std::string>{"embedding", "hybrid",
                                       "representative"}));
+  for (const std::string& name : full.available()) {
+    EXPECT_EQ(Backend(full, name)->name(), name);
+  }
+  const auto* hybrid =
+      dynamic_cast<const HybridBackend*>(Backend(full, "hybrid"));
+  ASSERT_NE(hybrid, nullptr);
+  EXPECT_EQ(&hybrid->representative(), representative_);
+
+  // An embedding index that does not cover the embeddings is refused,
+  // and the set then serves the representative backend alone.
+  const size_t half = embeddings_->num_models() / 2;
+  auto short_index = IvfIndex::Build(
+      {embeddings_->model_embeddings().begin(),
+       embeddings_->model_embeddings().begin() + half},
+      {embeddings_->prior().begin(), embeddings_->prior().begin() + half},
+      IvfIndexOptions());
+  ASSERT_TRUE(short_index.ok()) << short_index.status().message();
+  EXPECT_TRUE(EmbeddingBackend::Create(embeddings_, &*short_index)
+                  .status()
+                  .IsInvalidArgument());
+  RecallBackendContext mismatched = FullContext();
+  mismatched.embedding_index = &*short_index;
+  EXPECT_EQ(RecallBackendSet(mismatched).available(),
+            std::vector<std::string>{"representative"});
 }
 
 }  // namespace

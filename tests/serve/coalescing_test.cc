@@ -74,21 +74,24 @@ TEST(ProxyFlightGroupTest, ConcurrentIdenticalKeysComputeExactlyOnce) {
   for (size_t round = 0; round < kRounds; ++round) {
     const ProxyCacheKey key = Key(round, "model");
     std::vector<std::thread> threads;
-    std::vector<StatusOr<double>> results(kThreads, StatusOr<double>(0.0));
+    std::vector<StatusOr<std::vector<double>>> results(
+        kThreads, StatusOr<std::vector<double>>(std::vector<double>{}));
     for (size_t t = 0; t < kThreads; ++t) {
       threads.emplace_back([&, t] {
-        results[t] = group.GetOrCompute(
-            &cache, key, /*poll_cancel=*/nullptr,
-            [&]() -> StatusOr<double> {
+        results[t] = group.GetOrComputeBatch(
+            &cache, {key}, /*poll_cancel=*/nullptr,
+            [&](const std::vector<size_t>&)
+                -> StatusOr<std::vector<double>> {
               compute_calls.fetch_add(1);
-              return static_cast<double>(round) + 0.25;
+              return std::vector<double>{static_cast<double>(round) + 0.25};
             });
       });
     }
     for (std::thread& thread : threads) thread.join();
-    for (const StatusOr<double>& result : results) {
+    for (const StatusOr<std::vector<double>>& result : results) {
       ASSERT_TRUE(result.ok());
-      EXPECT_EQ(*result, static_cast<double>(round) + 0.25);
+      EXPECT_EQ(*result,
+                std::vector<double>{static_cast<double>(round) + 0.25});
     }
   }
   // The exactly-once guarantee: the leader inserts into the cache before
@@ -241,21 +244,22 @@ TEST(ProxyFlightGroupTest, FlightRetiringBetweenPrecheckAndJoinCountsOnce) {
   ProxyScoreCache cache(8, &metrics);
   const ProxyCacheKey key = Key(21, "model");
   size_t compute_calls = 0;
-  auto compute = [&]() -> StatusOr<double> {
+  auto compute =
+      [&](const std::vector<size_t>&) -> StatusOr<std::vector<double>> {
     ++compute_calls;
-    return 0.75;
+    return std::vector<double>{0.75};
   };
   bool armed = true;
   group.SetJoinHookForTesting([&] {
     if (!armed) return;
     armed = false;
-    auto early = group.GetOrCompute(&cache, key, nullptr, compute);
+    auto early = group.GetOrComputeBatch(&cache, {key}, nullptr, compute);
     EXPECT_TRUE(early.ok());
     EXPECT_EQ(group.InFlight(), 0u);  // Retired before the late join.
   });
-  auto late = group.GetOrCompute(&cache, key, nullptr, compute);
+  auto late = group.GetOrComputeBatch(&cache, {key}, nullptr, compute);
   ASSERT_TRUE(late.ok());
-  EXPECT_EQ(*late, 0.75);
+  EXPECT_EQ(*late, std::vector<double>{0.75});
   EXPECT_FALSE(armed);
   EXPECT_EQ(compute_calls, 1u);
   EXPECT_EQ(group.computes(), 1u);
@@ -283,11 +287,12 @@ TEST(ProxyFlightGroupTest, BatchMixesCachedInFlightAndNewKeys) {
   std::shared_future<void> batch_joined_future =
       batch_joined.get_future().share();
   std::thread other([&] {
-    auto result = group.GetOrCompute(
-        &cache, elsewhere, nullptr, [&]() -> StatusOr<double> {
+    auto result = group.GetOrComputeBatch(
+        &cache, {elsewhere}, nullptr,
+        [&](const std::vector<size_t>&) -> StatusOr<std::vector<double>> {
           other_in_compute.set_value();
           batch_joined_future.wait();
-          return 2.5;
+          return std::vector<double>{2.5};
         });
     EXPECT_TRUE(result.ok());
   });

@@ -11,6 +11,8 @@
 #include <vector>
 
 #include "recall/embed_trainer.h"
+#include "recall/hybrid_backend.h"
+#include "serve/artifact_slot.h"
 #include "serve/artifacts.h"
 #include "serve/service.h"
 
@@ -201,6 +203,23 @@ TEST_F(EmbeddingServingTest, RepresentativeRoutingMatchesUnrouted) {
   EXPECT_EQ(got.recall_backend, "representative");
   EXPECT_TRUE(want.recall_backend.empty());
   ExpectSameAnswer(got, want);
+}
+
+TEST_F(EmbeddingServingTest, OneSnapshotHasOneRepresentative) {
+  // "representative" and the hybrid's representative leg are the
+  // selector's own CoarseRecall: one snapshot, one recall object, at most
+  // one brute-force index.
+  const auto snapshot = std::make_shared<const ArtifactSnapshot>(
+      ServiceArtifacts(*embedded_a_), 1);
+  const CoarseRecall* own = &snapshot->selector.recall();
+  auto representative = snapshot->backends.Find("representative");
+  ASSERT_TRUE(representative.ok()) << representative.status().message();
+  EXPECT_EQ(*representative, own);
+  auto hybrid = snapshot->backends.Find("hybrid");
+  ASSERT_TRUE(hybrid.ok()) << hybrid.status().message();
+  const auto* fused = dynamic_cast<const recall::HybridBackend*>(*hybrid);
+  ASSERT_NE(fused, nullptr);
+  EXPECT_EQ(&fused->representative(), own);
 }
 
 TEST_F(EmbeddingServingTest, ReloadIntroducesEmbeddingsToARunningService) {

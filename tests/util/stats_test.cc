@@ -140,6 +140,14 @@ TEST(StatsTest, ArgSortAscending) {
   EXPECT_EQ(ArgSortAscending(v), (std::vector<size_t>{1, 2, 0}));
 }
 
+TEST(StatsTest, MinMaxNormalize) {
+  EXPECT_EQ(MinMaxNormalize({2.0, 4.0, 3.0}),
+            (std::vector<double>{0.0, 1.0, 0.5}));
+  EXPECT_EQ(MinMaxNormalize({7.0, 7.0}), (std::vector<double>{0.5, 0.5}));
+  EXPECT_TRUE(MinMaxNormalize({}).empty());
+  EXPECT_EQ(MinMaxNormalize({-1.0}), (std::vector<double>{0.5}));
+}
+
 TEST(StatsTest, Clamp) {
   EXPECT_DOUBLE_EQ(Clamp(5.0, 0.0, 1.0), 1.0);
   EXPECT_DOUBLE_EQ(Clamp(-5.0, 0.0, 1.0), 0.0);

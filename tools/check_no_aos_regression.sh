@@ -74,6 +74,20 @@ for f in core/coarse_recall.cc core/task_similarity.cc; do
   fi
 done
 
+# 5. The model stores its prototypes once, in the dimension-major layout
+#    the stacked forward pass reads: no row-major vector-of-vectors copy
+#    may come back as a PretrainedModel member (on a 5k zoo such a copy
+#    is ~80k heap vectors). A declaration ends in ';', a parameter in ','
+#    or ')'.
+hits=$(grep -nE 'std::vector<std::vector<double>>[[:space:]]+[A-Za-z_][A-Za-z0-9_]*[[:space:]]*(=[^;]*)?;' \
+         "$SRC/model/pretrained_model.h" || true)
+if [[ -n "$hits" ]]; then
+  fail "pretrained_model.h declares a vector-of-vectors member — prototypes live in proto_soa_ only" \
+       "$hits"
+else
+  echo "ok: pretrained_model.h holds no AoS prototype copy"
+fi
+
 if [[ $FAILURES -ne 0 ]]; then
   echo "$FAILURES AoS regression check(s) failed" >&2
   exit 1
